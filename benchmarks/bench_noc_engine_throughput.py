@@ -7,10 +7,7 @@ of messages per PE).  The baseline evaluates every point the way the pre-engine
 design flow did: build the topology, build its routing tables, construct the
 object simulator, run.  The engine path runs the same jobs through
 :func:`repro.noc.sweep.run_noc_sweep`, which shares the precomputed
-topologies/routing tables and per-configuration engine state across points
-(every job here has a distinct configuration, so the scheduler exercises its
-scalar-engine dispatch, not the batched kernel — see
-``bench_noc_batch_sweep.py`` for the job-batched measurement).
+topologies/routing tables and per-configuration engine state across points.
 
 Both paths produce cycle-exact identical :class:`SimulationResult`s (asserted
 here and pinned by ``tests/test_noc_engine.py``); only the time differs.

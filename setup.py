@@ -1,9 +1,9 @@
 """Setup shim.
 
-Metadata lives in ``pyproject.toml``; this file exists only so that legacy
-editable installs (``pip install -e . --no-use-pep517``) work on environments
-whose setuptools/pip tooling predates PEP 660 editable wheels (e.g. offline
-boxes without the ``wheel`` package).
+Metadata lives in ``pyproject.toml``; this file exists only for the legacy
+``python setup.py develop`` editable install, which works offline on hosts
+whose setuptools predates PEP 660 editable wheels or that lack the
+``wheel`` package (where ``pip install -e .`` cannot build).
 """
 
 from setuptools import setup

@@ -15,13 +15,11 @@ This package reproduces the intra-IP NoC studied in Section III of the paper:
 * :mod:`~repro.noc.traffic` — per-PE ordered message lists (the "equivalent
   interleaver" view of a decoding iteration) and seeded synthetic generators,
 * :mod:`~repro.noc.engine` — the struct-of-arrays cycle engine
-  (:class:`BatchNocSimulator`) that measures ``ncycles`` and FIFO occupancies,
-* :mod:`~repro.noc.engine_batch` — the job-batched kernel
-  (:class:`BatchedNocKernel`) advancing many independent jobs one cycle per
-  vectorized step,
+  (:class:`BatchNocSimulator`) that measures ``ncycles`` and FIFO
+  occupancies; every fast NoC simulation runs through it,
 * :mod:`~repro.noc.sweep` — the sweep scheduler (:func:`run_noc_sweep`):
-  jobs grouped by (graph, configuration), dispatched to the batched kernel,
-  optionally sharded across worker processes,
+  jobs grouped by (graph, configuration), one engine per group, optionally
+  sharded across worker processes,
 * :mod:`~repro.noc.simulator` — the public :class:`NocSimulator` facade plus
   the per-object :class:`ReferenceNocSimulator` the engines are pinned against.
 """
@@ -54,7 +52,6 @@ from repro.noc.traffic import (
     random_traffic_streams,
 )
 from repro.noc.engine import BatchNocSimulator, MessageArrays
-from repro.noc.engine_batch import BatchedNocKernel
 from repro.noc.analytical import (
     ANALYTICAL_MODEL_VERSION,
     ERROR_TOLERANCES,
@@ -100,7 +97,6 @@ __all__ = [
     "random_traffic",
     "random_traffic_streams",
     "BatchNocSimulator",
-    "BatchedNocKernel",
     "MessageArrays",
     "ANALYTICAL_MODEL_VERSION",
     "ERROR_TOLERANCES",

@@ -1,4 +1,4 @@
-"""Struct-of-arrays NoC cycle engine and multi-point sweep driver.
+"""Struct-of-arrays NoC cycle engine: the one fast NoC simulator.
 
 The per-object reference simulator (:class:`repro.noc.simulator.ReferenceNocSimulator`)
 walks Python ``RouterNode`` / ``MessageFifo`` / ``Message`` objects one cycle at
@@ -34,13 +34,11 @@ traffic is ingested, and statistics (latencies, hops, misroutes) are reduced,
 as single vectorized array operations.
 
 Multi-point sweeps live one layer up: :func:`repro.noc.sweep.run_noc_sweep`
-groups jobs by (graph, configuration) and dispatches each group to the
-job-batched kernel (:mod:`repro.noc.engine_batch`) or to this scalar engine,
-whichever its measured cost model projects faster for the group's size and
-collision policy, sharing precomputed topologies and routing tables across
-all points that use the same graph.  This engine remains the fastest path
-for small groups (and the kernel's own fallback for bounded-capacity
-configurations), so its per-run cost is as load-bearing as the kernel's.
+groups jobs by (graph, configuration), builds one engine per group (sharing
+precomputed topologies and routing tables across all points that use the
+same graph) and runs every job through it, optionally sharded across worker
+processes.  This engine is the only fast path every NoC simulation takes,
+so its per-run cost is what the Table-I explore pays.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import BackendLike, resolve
 from repro.errors import SimulationError
 from repro.noc.config import CollisionPolicy, NocConfiguration, RoutingAlgorithm
 from repro.noc.message import MessageStatistics
@@ -121,13 +118,6 @@ class BatchNocSimulator:
         Seed for the SCM deflection randomness.
     max_cycles:
         Hard safety bound on the simulated cycle count.
-    backend:
-        Array-backend override (:func:`repro.backend.resolve` semantics).
-        A backend with ``jit=True`` (the ``numba`` backend, or any
-        :class:`~repro.backend.ArrayBackend` constructed with that flag)
-        routes runs through the JIT-able array-state serve loop of
-        :mod:`repro.noc.engine_jit`, which is cycle-exact with the list
-        engine; any other backend keeps the plain-Python loop.
     """
 
     def __init__(
@@ -137,7 +127,6 @@ class BatchNocSimulator:
         routing_tables: RoutingTables | None = None,
         seed: int = 0,
         max_cycles: int = 200_000,
-        backend: BackendLike = None,
     ):
         if max_cycles <= 0:
             raise SimulationError(f"max_cycles must be positive, got {max_cycles}")
@@ -150,7 +139,6 @@ class BatchNocSimulator:
             raise SimulationError("routing tables were built for a different topology")
         self.seed = seed
         self.max_cycles = max_cycles
-        self.backend = backend
         self._static = _StaticState(topology, config, self.tables)
 
     def run(self, traffic: TrafficPattern, seed: int | None = None) -> SimulationResult:
@@ -166,13 +154,6 @@ class BatchNocSimulator:
                 f"{self.topology.n_nodes}"
             )
         run_seed = self.seed if seed is None else seed
-        if resolve(self.backend).jit:
-            from repro.noc.engine_jit import run_engine_arrays
-
-            return run_engine_arrays(
-                self._static, MessageArrays.from_traffic(traffic),
-                traffic.label, run_seed, self.max_cycles,
-            )
         return _run_engine(
             self._static, MessageArrays.from_traffic(traffic), traffic.label,
             run_seed, self.max_cycles,

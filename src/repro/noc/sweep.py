@@ -1,38 +1,36 @@
-"""NoC sweep scheduler: group jobs, dispatch each group to its fastest engine.
+"""NoC sweep scheduler: group jobs, run each group on one engine, shard.
 
-PR 3's sweep driver walked jobs strictly sequentially through one scalar
-engine per (graph, configuration).  This module replaces it with an
-*adaptive scheduler*:
+:func:`run_noc_sweep` runs many design points through the struct-of-arrays
+engine (:class:`~repro.noc.engine.BatchNocSimulator`):
 
 1. jobs are **grouped** by ``(family, parallelism, degree, configuration,
-   max_cycles)`` — everything the batched kernel shares across a group;
-2. each group is dispatched to the job-batched cycle kernel
-   (:class:`~repro.noc.engine_batch.BatchedNocKernel`) **or** the scalar
-   engine, whichever a measured :class:`SweepCostModel` — calibrated once per
-   process on a probe workload and cached — projects to be faster for the
-   group's size and collision policy.  Configurations the job axis cannot
-   express (bounded-capacity backpressure) always run scalar, inside the
-   kernel's own fallback;
-3. with ``parallel="process"`` the groups are sharded across a
-   :class:`concurrent.futures.ProcessPoolExecutor` — but only when the cost
-   model projects the sweep is big enough to amortize the pool: one worker
-   (or a sweep projected to finish faster than the pool spins up) dispatches
-   serially with no executor at all.  Oversized groups are split into
-   worker-sized chunks so the work spreads across the pool and no single
-   pickle payload carries a whole grid; chunked results are bit-identical
-   because the kernel is cycle-exact *per job* regardless of batch mates.
-   Each worker process builds (and caches) topologies and routing tables
-   once, so graph construction is paid per worker, not per job.
+   max_cycles)``; each group builds one engine (topology and routing tables
+   are shared across every group on the same graph) and runs its jobs
+   through it one after another;
+2. with ``parallel="process"`` the groups are sharded across a
+   :class:`concurrent.futures.ProcessPoolExecutor` — but only when a
+   measured :class:`SweepCostModel` (calibrated once per process on a probe
+   workload and cached) projects the sweep is big enough to amortize the
+   pool: one worker (or a sweep projected to finish faster than the pool
+   spins up) runs serially with no executor at all.  Oversized groups are
+   split into worker-sized chunks so the work spreads across the pool and
+   no single pickle payload carries a whole grid; chunked results are
+   bit-identical because each job is simulated on its own.  Each worker
+   process builds (and caches) topologies and routing tables once, so graph
+   construction is paid per worker, not per job.
+
+A serial sweep never calibrates: the cost model only answers the pool
+question.
 
 Results are returned as :class:`NocSweepOutcome` records that carry the
 originating :class:`NocSweepJob`, so callers match results to jobs by
 identity instead of relying on input ordering (the list still preserves
 submission order for convenience).
 
-Engine reuse is explicitly **seed-independent**: engines and kernels are
-constructed once per group without any job's seed, and seeds are passed to
-``run`` only — two jobs differing only in seed always share one engine and
-still reproduce exactly what two freshly seeded engines would.
+Engine reuse is explicitly **seed-independent**: engines are constructed
+once per group without any job's seed, and seeds are passed to ``run``
+only — two jobs differing only in seed always share one engine and still
+reproduce exactly what two freshly seeded engines would.
 """
 
 from __future__ import annotations
@@ -45,17 +43,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.backend import resolve
 from repro.errors import ConfigurationError
 from repro.noc.config import CollisionPolicy, NocConfiguration
-from repro.utils.calibration import (
-    POOL_SPINUP_S,
-    PiecewiseLinearCost,
-    best_time,
-    pool_amortizes,
-)
+from repro.utils.calibration import POOL_SPINUP_S, best_time, pool_amortizes
 from repro.noc.engine import BatchNocSimulator
-from repro.noc.engine_batch import BatchedNocKernel
 from repro.noc.message import MessageStatistics
 from repro.noc.results import SimulationResult
 from repro.noc.routing import build_routing_tables
@@ -79,8 +70,8 @@ class NocSweepJob:
 
     ``family``/``parallelism``/``degree`` describe the topology so the sweep
     scheduler can share one built topology (and its routing tables) across
-    every job that uses the same graph, and batch every job that also shares
-    the configuration.
+    every job that uses the same graph, and one engine across every job that
+    also shares the configuration.
     """
 
     family: str
@@ -99,10 +90,6 @@ class NocSweepOutcome:
     job: NocSweepJob
     result: SimulationResult
 
-
-#: Hard floor under which batching is never attempted (a batch of one gains
-#: nothing from stacking); also the legacy default for explicit ``min_batch``.
-MIN_BATCH = 2
 
 #: Version stamp of the *simulation semantics* behind cached sweep results.
 #: Bump whenever an engine change may alter any measurement for the same job
@@ -254,21 +241,11 @@ def _result_from_payload(payload: dict) -> SimulationResult:
     )
 
 #: Calibration probe: a Table-I-scale generalized-Kautz workload per
-#: collision policy, timed once per process.  The probe must run at the
-#: paper's network size *and* sample batch sizes on both sides of the
-#: kernel's vectorized-resume threshold (``_VEC_MIN_ROUND``) — the SCM cost
-#: curve kinks there, so an affine fit through small batches alone would
-#: spuriously conclude SCM batching can never win.  The whole calibration
-#: costs well under a second, cached for every later sweep of the process.
+#: collision policy, timed once per process (a few milliseconds per run,
+#: best of two), cached for every later sweep of the process.
 _PROBE_SPEC = ("generalized-kautz", 16, 3)
 _PROBE_MESSAGES = 48
-_PROBE_SIZES = (8, 24, 128)
-
-#: Groups smaller than this always run the scalar engine, with no
-#: calibration: every recorded host loses on batches this small (the stacked
-#: bookkeeping cannot amortize), and skipping the probe keeps tiny sweeps —
-#: single design points, unit tests — free of the calibration cost.
-_ADAPTIVE_SCALAR_UNDER = 8
+_PROBE_JOBS = 8
 
 #: Sweeps projected to finish serially faster than this never pay for a
 #: process pool (executor spin-up plus per-task pickling costs this order of
@@ -283,131 +260,56 @@ _CHUNKS_PER_WORKER = 2
 
 @dataclass(frozen=True)
 class SweepCostModel:
-    """Measured per-process cost model behind the scheduler's dispatch choices.
+    """Measured per-process cost model behind the serial-vs-pool decision.
 
-    All times come from one probe workload (:data:`_PROBE_SPEC`):
-    ``scalar_point_s`` is the scalar engine's per-point cost, and
-    ``batch_samples`` holds the batched kernel's measured whole-group cost at
-    each probe batch size.  The batched cost curve is *not* affine — it kinks
-    where the kernel's vectorized resume rounds start to engage — so the
-    model interpolates it piecewise-linearly between samples (extrapolating
-    the outermost segments) and dispatch simply picks, per group, the engine
-    with the lower projected cost.
+    ``scalar_point_s`` is the engine's measured per-point cost on the probe
+    workload (:data:`_PROBE_SPEC`), per collision policy.
     """
 
     scalar_point_s: dict[CollisionPolicy, float]
-    #: Per policy: ascending ``(J, measured whole-group seconds)`` samples.
-    batch_samples: dict[CollisionPolicy, tuple[tuple[int, float], ...]]
     probe_parallelism: int = _PROBE_SPEC[1]
-
-    #: Batching must project at least this relative win before it is picked:
-    #: around the bare crossover either engine is within noise of the other,
-    #: and the probe's piecewise fit is least trustworthy exactly there, so
-    #: the scheduler only leaves the scalar engine for a clear projected win.
-    #: SCM's cost curve is the flatter and noisier of the two (the deflection
-    #: replay mixes scalar and vectorized regimes), hence its wider margin.
-    WIN_MARGIN = {CollisionPolicy.DCM: 0.9, CollisionPolicy.SCM: 0.85}
-
-    #: Dispatch never projects beyond this group size (groups larger than any
-    #: crossover the probe could witness simply batch).
-    SEARCH_LIMIT = 2048
-
-    def batch_cost_s(self, policy: CollisionPolicy, group_size: int) -> float:
-        """Projected batched-kernel cost of one group, piecewise-linear.
-
-        Delegates to :class:`repro.utils.calibration.PiecewiseLinearCost`,
-        which scales proportionally below the first probe sample instead of
-        extrapolating the first segment downward — a noisy super-linear
-        segment would otherwise project negative (i.e. bogusly winning)
-        costs for tiny groups.
-        """
-        return PiecewiseLinearCost(self.batch_samples[policy]).cost(group_size)
-
-    def batch_wins(self, policy: CollisionPolicy, group_size: int) -> bool:
-        """Whether the batched kernel clearly wins a group of this size."""
-        scalar = self.scalar_point_s[policy] * self.WIN_MARGIN[policy]
-        return self.batch_cost_s(policy, group_size) < scalar * group_size
-
-    def min_batch(self, policy: CollisionPolicy) -> int:
-        """Smallest group size the batched kernel is projected to clearly win at."""
-        for group_size in range(MIN_BATCH, self.SEARCH_LIMIT + 1):
-            if self.batch_wins(policy, group_size):
-                return group_size
-        return 1 << 30
 
     def projected_serial_s(self, policy: CollisionPolicy, group_size: int,
                            parallelism: int) -> float:
-        """Projected serial cost of one group, on whichever engine dispatch picks.
+        """Projected serial cost of one group.
 
         Scaled linearly from the probe's node count — a deliberately crude
         floor used only to decide whether a process pool is worth spinning up.
         """
         scale = max(parallelism, 1) / self.probe_parallelism
-        scalar = self.scalar_point_s[policy] * group_size
-        return min(scalar, self.batch_cost_s(policy, group_size)) * scale
+        return self.scalar_point_s[policy] * group_size * scale
 
 
 def _calibrate() -> SweepCostModel:
-    """Time the probe workload through both engines, once per process."""
+    """Time the probe workload through the engine, once per process."""
     family, parallelism, degree = _PROBE_SPEC
     topology = build_topology(family, parallelism, degree)
     tables = build_routing_tables(topology)
-    count = max(_PROBE_SIZES)
     scalar_point_s: dict[CollisionPolicy, float] = {}
-    batch_samples: dict[CollisionPolicy, tuple[tuple[int, float], ...]] = {}
-    scalar_jobs = _PROBE_SIZES[0]
     for policy in CollisionPolicy:
         config = NocConfiguration(collision_policy=policy)
         traffics = random_traffic_streams(
-            parallelism, _PROBE_MESSAGES, seed=17, count=count
+            parallelism, _PROBE_MESSAGES, seed=17, count=_PROBE_JOBS
         )
-        seeds = list(range(count))
         engine = BatchNocSimulator(topology, config, routing_tables=tables, seed=0)
-        kernel = BatchedNocKernel(topology, config, routing_tables=tables)
-        # Warm both paths so one-time lazy state stays out of the timings.
-        engine.run(traffics[0], seed=seeds[0])
-        kernel.run(traffics[:2], seeds[:2])
+        # Warm the engine so one-time lazy state stays out of the timing.
+        engine.run(traffics[0], seed=0)
         scalar_s = best_time(
-            lambda: [
-                engine.run(t, seed=s)
-                for t, s in zip(traffics[:scalar_jobs], seeds[:scalar_jobs])
-            ]
+            lambda: [engine.run(t, seed=s) for s, t in enumerate(traffics)]
         )
-        scalar_point_s[policy] = scalar_s / scalar_jobs
-        samples = []
-        for size in _PROBE_SIZES:
-            # Best-of-2 everywhere: the largest sample sets the slope the
-            # whole-grid extrapolation rides on, so its noise matters most.
-            group_s = best_time(
-                lambda size=size: kernel.run(traffics[:size], seeds[:size])
-            )
-            samples.append((size, group_s))
-        batch_samples[policy] = tuple(samples)
-    return SweepCostModel(
-        scalar_point_s=scalar_point_s,
-        batch_samples=batch_samples,
-    )
+        scalar_point_s[policy] = scalar_s / _PROBE_JOBS
+    return SweepCostModel(scalar_point_s=scalar_point_s)
 
 
-#: Calibrated cost models keyed by :attr:`ArrayBackend.key` of the backend
-#: that was active when the probe ran.  Engine timings change when the
-#: backend does (a JIT scalar path moves the scalar/batched crossover by an
-#: order of magnitude), so each backend gets its own probe run.
-_COST_MODELS: dict[tuple[str, bool], SweepCostModel] = {}
+_COST_MODEL: SweepCostModel | None = None
 
 
 def scheduler_cost_model() -> SweepCostModel:
-    """The process-wide cost model for the *active* backend.
-
-    Calibrated on first use per backend: the probe engines resolve the
-    active backend at run time, so switching backends mid-session triggers
-    a fresh probe instead of reusing timings measured for another engine.
-    """
-    key = resolve(None).key
-    model = _COST_MODELS.get(key)
-    if model is None:
-        model = _COST_MODELS[key] = _calibrate()
-    return model
+    """The process-wide cost model, calibrated on first use."""
+    global _COST_MODEL
+    if _COST_MODEL is None:
+        _COST_MODEL = _calibrate()
+    return _COST_MODEL
 
 
 def run_noc_sweep(
@@ -415,18 +317,15 @@ def run_noc_sweep(
     topology_cache: dict | None = None,
     parallel: str | None = None,
     max_workers: int | None = None,
-    min_batch: int | None = None,
     cache: NocSweepCache | None = None,
 ) -> list[NocSweepOutcome]:
-    """Run many sweep points through grouped, adaptively batched engines.
+    """Run many sweep points through one engine per (graph, configuration).
 
     Parameters
     ----------
     jobs:
         The sweep points.  Jobs sharing ``(family, parallelism, degree,
-        config, max_cycles)`` form one group and advance in lockstep through
-        the batched kernel; jobs with different graphs or configurations fall
-        back to separate grouped batches.
+        config, max_cycles)`` form one group and run through one engine.
     topology_cache:
         Optional dict mapping ``(family, parallelism, degree)`` to
         ``(topology, routing_tables)``; pass one to share built graphs across
@@ -440,19 +339,12 @@ def run_noc_sweep(
         spin up.
     max_workers:
         Worker count for ``parallel="process"`` (default: ``os.cpu_count()``).
-    min_batch:
-        ``None`` (default) lets the measured per-process
-        :class:`SweepCostModel` pick scalar vs batched per group (the
-        crossover depends on the collision policy: SCM groups fund the
-        deflection replay and cross over later than DCM groups).  An explicit
-        integer restores the static threshold: groups of at least
-        ``min_batch`` jobs batch, smaller ones run the scalar engine.
     cache:
         Optional :class:`NocSweepCache`.  Jobs whose exact description was
         simulated before return their persisted result without simulating;
-        missing jobs run normally (through whatever engines and parallelism
-        the scheduler picks for the *reduced* sweep) and are persisted on
-        the way out.  Results are bit-identical with and without a cache.
+        missing jobs run normally (serially or sharded, as the scheduler
+        picks for the *reduced* sweep) and are persisted on the way out.
+        Results are bit-identical with and without a cache.
 
     Returns
     -------
@@ -464,8 +356,6 @@ def run_noc_sweep(
         raise ConfigurationError(
             f"parallel must be None or 'process', got {parallel!r}"
         )
-    if min_batch is not None and min_batch < 1:
-        raise ConfigurationError(f"min_batch must be positive, got {min_batch}")
     if cache is not None:
         cached: list[SimulationResult | None] = [cache.get(job) for job in jobs]
         miss_indices = [i for i, result in enumerate(cached) if result is None]
@@ -475,7 +365,6 @@ def run_noc_sweep(
                 topology_cache=topology_cache,
                 parallel=parallel,
                 max_workers=max_workers,
-                min_batch=min_batch,
             )
             for index, outcome in zip(miss_indices, fresh):
                 cache.put(outcome.job, outcome.result)
@@ -484,51 +373,18 @@ def run_noc_sweep(
             NocSweepOutcome(job=job, result=result)
             for job, result in zip(jobs, cached)
         ]
-    # Group jobs by everything the batched kernel shares.
+    # Group jobs by everything one engine shares.
     groups: dict[tuple, list[int]] = {}
     for index, job in enumerate(jobs):
         key = (job.family, job.parallelism, job.degree, job.config, job.max_cycles)
         groups.setdefault(key, []).append(index)
-
-    # Resolve every group's engine up front (the decision is cheap and the
-    # worker processes then never need their own calibration).  Calibration
-    # itself only triggers once a group is big enough that batching could
-    # plausibly win.  ``floors`` records, per batched group, the smallest
-    # chunk that should still run batched, so process sharding never splits a
-    # batched group into chunks the model would route scalar.
-    model: SweepCostModel | None = None
-    thresholds: dict[CollisionPolicy, int] = {}
-    decisions: dict[tuple, bool] = {}
-    floors: dict[tuple, int] = {}
-    for key, indices in groups.items():
-        policy = key[3].collision_policy
-        if min_batch is not None:
-            floor = max(min_batch, MIN_BATCH)
-            decisions[key] = len(indices) >= floor
-            floors[key] = floor
-            continue
-        if len(indices) < _ADAPTIVE_SCALAR_UNDER:
-            decisions[key] = False
-            floors[key] = 1
-            continue
-        if model is None:
-            model = scheduler_cost_model()
-        decisions[key] = model.batch_wins(policy, len(indices))
-        if decisions[key]:
-            floor = thresholds.get(policy)
-            if floor is None:
-                floor = thresholds[policy] = model.min_batch(policy)
-            floors[key] = floor
-        else:
-            floors[key] = 1
 
     use_pool = False
     workers = 1
     if parallel == "process":
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         if workers > 1:
-            if model is None:
-                model = scheduler_cost_model()
+            model = scheduler_cost_model()
             projected = sum(
                 model.projected_serial_s(
                     key[3].collision_policy, len(indices), key[1]
@@ -550,12 +406,11 @@ def run_noc_sweep(
                 topology, tables, config, max_cycles,
                 [jobs[i].traffic for i in indices],
                 [jobs[i].seed for i in indices],
-                decisions[key],
             )
             for i, result in zip(indices, group_results):
                 results[i] = result
     else:
-        chunks = _shard_groups(groups, decisions, floors, len(jobs), workers)
+        chunks = _shard_groups(groups, len(jobs), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
@@ -563,9 +418,8 @@ def run_noc_sweep(
                     key,
                     [jobs[i].traffic for i in indices],
                     [jobs[i].seed for i in indices],
-                    batched,
                 ): indices
-                for key, indices, batched in chunks
+                for key, indices in chunks
             }
             for future, indices in futures.items():
                 for i, result in zip(indices, future.result()):
@@ -574,53 +428,35 @@ def run_noc_sweep(
 
 
 def _shard_groups(
-    groups: dict[tuple, list[int]],
-    decisions: dict[tuple, bool],
-    floors: dict[tuple, int],
-    total_jobs: int,
-    workers: int,
-) -> list[tuple[tuple, list[int], bool]]:
+    groups: dict[tuple, list[int]], total_jobs: int, workers: int
+) -> list[tuple[tuple, list[int]]]:
     """Split oversized groups into worker-sized chunks of one group each.
 
     The cap targets :data:`_CHUNKS_PER_WORKER` chunks per worker across the
     whole sweep, so a single huge group spreads over the pool instead of
     serializing on one worker — and no single task pickles the entire grid.
-    Batched groups are never split below their ``floors[key]`` (the smallest
-    size the cost model still projects a batched win at), and a sub-floor
-    tail chunk is re-dispatched scalar rather than inheriting the full
-    group's decision.  Chunking preserves results exactly: the kernel is
-    cycle-exact per job, so a group's jobs can batch in any partition.
+    Chunking preserves results exactly: every job runs on its own.
     """
     cap = max(total_jobs // (workers * _CHUNKS_PER_WORKER), 1)
-    chunks: list[tuple[tuple, list[int], bool]] = []
+    chunks: list[tuple[tuple, list[int]]] = []
     for key, indices in groups.items():
-        batched = decisions[key]
-        size_cap = max(cap, floors[key]) if batched else cap
-        if len(indices) <= size_cap:
-            chunks.append((key, indices, batched))
+        if len(indices) <= cap:
+            chunks.append((key, indices))
             continue
-        n_chunks = -(-len(indices) // size_cap)
+        n_chunks = -(-len(indices) // cap)
         size = -(-len(indices) // n_chunks)
         for lo in range(0, len(indices), size):
-            chunk = indices[lo : lo + size]
-            chunks.append((key, chunk, batched and len(chunk) >= floors[key]))
+            chunks.append((key, indices[lo : lo + size]))
     return chunks
 
 
-def _run_group(
-    topology, tables, config, max_cycles, traffics, seeds, batched: bool
-) -> list[SimulationResult]:
-    """Run one (graph, configuration) group on the engine dispatch picked.
+def _run_group(topology, tables, config, max_cycles, traffics, seeds) -> list[SimulationResult]:
+    """Run one (graph, configuration) group through one engine.
 
-    Engines are constructed seed-independently (the kernel takes no seed at
-    all; the scalar engine gets ``seed=0`` and per-job seeds at ``run`` only),
-    so reuse across same-group jobs with different seeds is exact.
+    The engine is constructed seed-independently (``seed=0``, per-job seeds
+    at ``run`` only), so reuse across same-group jobs with different seeds
+    is exact.
     """
-    if batched and len(traffics) >= MIN_BATCH:
-        kernel = BatchedNocKernel(
-            topology, config, routing_tables=tables, max_cycles=max_cycles
-        )
-        return kernel.run(traffics, seeds)
     engine = BatchNocSimulator(
         topology, config, routing_tables=tables, seed=0, max_cycles=max_cycles
     )
@@ -633,7 +469,7 @@ def _run_group(
 _WORKER_GRAPHS: dict = {}
 
 
-def _process_chunk(key, traffics, seeds, batched: bool) -> list[SimulationResult]:
+def _process_chunk(key, traffics, seeds) -> list[SimulationResult]:
     """Worker entry point: build/cache the graph, then run one group chunk."""
     family, parallelism, degree, config, max_cycles = key
     graph_key = (family, parallelism, degree)
@@ -641,4 +477,4 @@ def _process_chunk(key, traffics, seeds, batched: bool) -> list[SimulationResult
         topology = build_topology(family, parallelism, degree)
         _WORKER_GRAPHS[graph_key] = (topology, build_routing_tables(topology))
     topology, tables = _WORKER_GRAPHS[graph_key]
-    return _run_group(topology, tables, config, max_cycles, traffics, seeds, batched)
+    return _run_group(topology, tables, config, max_cycles, traffics, seeds)

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.backend import BackendLike, resolve
 from repro.channel.quantize import CHANNEL_LLR_SPEC, EXTRINSIC_SPEC, LLRQuantizer
 from repro.errors import DecodingError
 from repro.sim.edges import EdgeIndex
@@ -131,14 +130,9 @@ class BatchFloodingDecoder:
 
     Parameters mirror the per-frame decoder: ``kernel`` selects the exact
     sum-product tanh rule or the normalized min-sum of paper eq. (11).
-    ``backend`` is a per-decoder array-backend override (name /
-    :class:`~repro.backend.ArrayBackend` / ``None`` for the process-wide
-    selection); the control loop stays on host NumPy and only the check
-    kernels run on the chosen backend, so a GPU backend pays a transfer per
-    update — profitable only for large batches.  On backends with segment
-    primitives the min-sum check phase runs as *one* flat segment-reduction
-    kernel over all edges (bit-identical to the per-degree-group path) when
-    the code has several check degrees.
+    The min-sum check phase runs as *one* flat segment reduction over all
+    edges (:func:`~repro.sim.kernels.min_sum_update_segments`, bit-identical
+    to one dense call per degree group); sum-product runs per degree group.
     """
 
     def __init__(
@@ -148,7 +142,6 @@ class BatchFloodingDecoder:
         kernel: str = "sum-product",
         scaling: float = 0.75,
         early_termination: bool = True,
-        backend: BackendLike = None,
     ):
         if max_iterations <= 0:
             raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
@@ -161,7 +154,6 @@ class BatchFloodingDecoder:
         self.kernel = kernel
         self.scaling = float(scaling)
         self.early_termination = bool(early_termination)
-        self.backend = backend
 
     @property
     def n_bits(self) -> int:
@@ -170,28 +162,11 @@ class BatchFloodingDecoder:
 
     def _check_update(self, v2c: np.ndarray) -> np.ndarray:
         """Apply the check kernel: ``(batch, n_edges)`` in and out."""
-        b = resolve(self.backend)
-        # One segment-reduction launch beats one dense launch per degree
-        # group once there is more than one group to pay for.
-        if (
-            self.kernel == "min-sum"
-            and b.supports_segments
-            and len(self._edges.check_groups) > 1
-        ):
-            return b.to_numpy(
-                min_sum_update_segments(
-                    v2c, self._edges.row_ptr, scaling=self.scaling, backend=b
-                )
-            )
+        if self.kernel == "min-sum":
+            return min_sum_update_segments(v2c, self._edges.row_ptr, scaling=self.scaling)
         out = np.empty_like(v2c)
         for group in self._edges.check_groups:
-            q = v2c[:, group.edges]
-            if self.kernel == "sum-product":
-                out[:, group.edges] = b.to_numpy(sum_product_update(q, backend=b))
-            else:
-                out[:, group.edges] = b.to_numpy(
-                    min_sum_update(q, scaling=self.scaling, backend=b)
-                )
+            out[:, group.edges] = sum_product_update(v2c[:, group.edges])
         return out
 
     def decode_batch(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
@@ -320,9 +295,6 @@ class BatchLayeredDecoder:
     early_termination:
         Remove a frame from the active set as soon as its hard decision
         satisfies every parity check.
-    backend:
-        Per-decoder array-backend override for the check kernels (the
-        schedule itself is sequential over checks and stays on host NumPy).
     """
 
     def __init__(
@@ -333,7 +305,6 @@ class BatchLayeredDecoder:
         kernel: str = "min-sum",
         fixed_point: bool = False,
         early_termination: bool = True,
-        backend: BackendLike = None,
     ):
         if max_iterations <= 0:
             raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
@@ -349,7 +320,6 @@ class BatchLayeredDecoder:
         self.kernel = kernel
         self.fixed_point = bool(fixed_point)
         self.early_termination = bool(early_termination)
-        self.backend = backend
         self._channel_quantizer = LLRQuantizer(CHANNEL_LLR_SPEC)
         self._extrinsic_quantizer = LLRQuantizer(EXTRINSIC_SPEC)
 
@@ -363,12 +333,11 @@ class BatchLayeredDecoder:
             return llrs.astype(np.float64)
         return self._channel_quantizer.quantize_to_real(llrs)
 
-    def _row_update(self, q: np.ndarray, b=None) -> np.ndarray:
-        b = resolve(self.backend) if b is None else b
+    def _row_update(self, q: np.ndarray) -> np.ndarray:
         if self.kernel == "sum-product":
-            r_new = b.to_numpy(sum_product_update(q, backend=b))
+            r_new = sum_product_update(q)
         else:
-            r_new = b.to_numpy(min_sum_update(q, scaling=self.scaling, backend=b))
+            r_new = min_sum_update(q, scaling=self.scaling)
         if self.fixed_point:
             r_new = self._extrinsic_quantizer.quantize_to_real(r_new)
         return r_new
@@ -395,7 +364,6 @@ class BatchLayeredDecoder:
         act_r = np.zeros((batch, edges.n_edges), dtype=np.float64)
         row_cols = edges.row_cols
         row_ptr = edges.row_ptr
-        kernel_backend = resolve(self.backend)
         for iteration in range(self.max_iterations):
             if act_idx.size == 0:
                 break
@@ -403,7 +371,7 @@ class BatchLayeredDecoder:
                 cols = row_cols[check]
                 span = slice(row_ptr[check], row_ptr[check + 1])
                 q_values = act_lam[:, cols] - act_r[:, span]
-                r_new = self._row_update(q_values, kernel_backend)
+                r_new = self._row_update(q_values)
                 updated = q_values + r_new
                 if self.fixed_point:
                     updated = self._channel_quantizer.quantize_to_real(updated)

@@ -22,7 +22,7 @@ from repro.utils.validation import (
     check_type,
 )
 from repro.utils.tables import Table, format_float, format_ratio_cell
-from repro.utils.rng import DeflectionStreams, bounded_draw, make_rng, spawn_rngs
+from repro.utils.rng import bounded_draw, make_rng, spawn_rngs
 
 __all__ = [
     "bits_to_int",
@@ -40,7 +40,6 @@ __all__ = [
     "Table",
     "format_float",
     "format_ratio_cell",
-    "DeflectionStreams",
     "bounded_draw",
     "make_rng",
     "spawn_rngs",

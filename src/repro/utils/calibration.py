@@ -1,19 +1,18 @@
 """Measured-cost calibration primitives shared by the schedulers.
 
-Two schedulers in this codebase make the same kind of decision: *is the
-fancier execution strategy worth it for this workload?*  The NoC sweep
-scheduler (:mod:`repro.noc.sweep`) picks scalar vs job-batched engines and
-decides whether a process pool amortizes; the decode service
-(:mod:`repro.service`) decides when to shard decode batches across worker
-processes.  Both decisions rest on the same machinery, extracted here:
+Two schedulers in this codebase make the same kind of decision: *is a
+process pool worth it for this workload?*  The NoC sweep scheduler
+(:mod:`repro.noc.sweep`) decides whether sharding a sweep amortizes the
+pool; the decode service (:mod:`repro.service`) decides when to shard
+decode batches across worker processes.  Both decisions rest on the same
+machinery, extracted here:
 
 * :func:`best_time` — best-of-``repeats`` wall-clock timing of a probe
   callable (the minimum is the standard noise-robust estimator for
   CPU-bound probes),
 * :class:`PiecewiseLinearCost` — a measured cost curve over workload sizes,
-  interpolated piecewise-linearly between probe samples because neither
-  engine family's cost is affine (the NoC kernel kinks at its
-  vectorized-resume threshold; batched decoders kink where early exits stop
+  interpolated piecewise-linearly between probe samples because a batched
+  decoder's cost is not affine (it kinks where early exits stop
   amortizing),
 * :func:`pool_amortizes` — the spin-up rule: never pay for a process pool
   when the projected serial time undercuts the pool's own startup cost.

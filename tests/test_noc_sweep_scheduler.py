@@ -1,16 +1,18 @@
 """Sweep-scheduler coverage: grouping, identity, seeds, process parity.
 
 :func:`repro.noc.sweep.run_noc_sweep` groups jobs by (graph, configuration),
-dispatches groups to the job-batched kernel and returns outcomes that carry
-their jobs.  These tests pin the scheduler-level contracts: grouping across
-mixed families/configurations is correct, engine reuse is seed-independent,
-``parallel="process"`` is bit-identical to the serial path, and topology
-caches are shared across sweeps.
+runs each group through one engine and returns outcomes that carry their
+jobs.  These tests pin the scheduler-level contracts: grouping across mixed
+families/configurations is correct, engine reuse is seed-independent,
+``parallel="process"`` is bit-identical to the serial path, serial sweeps
+never calibrate, and topology caches are shared across sweeps.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.noc import (
@@ -114,13 +116,6 @@ class TestGrouping:
         for outcome in outcomes:
             assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
 
-    def test_min_batch_routes_small_groups_to_scalar_engine(self):
-        jobs = _mixed_jobs()
-        batched = run_noc_sweep(jobs)
-        scalar_only = run_noc_sweep(jobs, min_batch=10**9)
-        for b, s in zip(batched, scalar_only):
-            assert _signature(b.result) == _signature(s.result)
-
     def test_rejects_unknown_parallel_mode(self):
         with pytest.raises(ConfigurationError):
             run_noc_sweep([], parallel="thread")
@@ -219,165 +214,82 @@ class TestProcessParallel:
             for stream, traffic in enumerate(streams)
         ]
         key = ("k", 8, 3, config, 200_000)
-        chunks = sweep_mod._shard_groups(
-            {key: list(range(12))},
-            {key: True},
-            {key: 2},
-            total_jobs=12,
-            workers=4,
-        )
+        chunks = sweep_mod._shard_groups({key: list(range(12))}, total_jobs=12, workers=4)
         assert len(chunks) >= 4  # one group spread over the pool
-        assert sorted(i for _, idx, _ in chunks for i in idx) == list(range(12))
-        # every chunk at or above the batch floor keeps the batched decision
-        assert all(batched == (len(idx) >= 2) for _, idx, batched in chunks)
-        # a batched group is never split below its floor
-        floored = sweep_mod._shard_groups(
-            {key: list(range(12))}, {key: True}, {key: 6}, total_jobs=12, workers=12
-        )
-        assert all(len(idx) >= 6 for _, idx, _ in floored)
+        assert sorted(i for _, idx in chunks for i in idx) == list(range(12))
         serial = run_noc_sweep(jobs)
         parallel = run_noc_sweep(jobs, parallel="process", max_workers=4)
         for s, p in zip(serial, parallel):
             assert _signature(s.result) == _signature(p.result)
 
 
-def _affine_samples(fixed_s: float, point_s: float) -> tuple[tuple[int, float], ...]:
-    """Synthetic batched-cost samples lying on ``fixed + point * J``."""
-    return tuple((j, fixed_s + point_s * j) for j in (8, 24, 128))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        workers=st.integers(2, 8),
+    )
+    def test_shards_partition_every_group_in_order(self, sizes, workers):
+        """Chunks cover each group's jobs exactly once, in submission order,
+        never mix groups and never exceed the per-chunk cap."""
+        import repro.noc.sweep as sweep_mod
+
+        groups, start = {}, 0
+        for g, size in enumerate(sizes):
+            groups[("g", g)] = list(range(start, start + size))
+            start += size
+        chunks = sweep_mod._shard_groups(groups, total_jobs=start, workers=workers)
+        cap = max(start // (workers * sweep_mod._CHUNKS_PER_WORKER), 1)
+        for key, indices in groups.items():
+            pieces = [idx for k, idx in chunks if k == key]
+            assert [i for piece in pieces for i in piece] == indices
+            if len(indices) > cap:
+                assert all(len(piece) <= cap for piece in pieces)
+            else:
+                assert pieces == [indices]
 
 
-class TestAdaptiveDispatch:
-    def test_cost_model_crossover_math(self):
-        from repro.noc import SweepCostModel
-
-        model = SweepCostModel(
-            scalar_point_s={p: 1e-3 for p in CollisionPolicy},
-            batch_samples={
-                CollisionPolicy.DCM: _affine_samples(10e-3, 0.3e-3),
-                # slower than scalar per point: never batches
-                CollisionPolicy.SCM: _affine_samples(10e-3, 2e-3),
-            },
-        )
-        # crossover with the DCM 0.9 win margin: 10 / (0.9 - 0.3) = 16.7 ->
-        # the first group size whose projected batched cost clearly wins is 17
-        assert model.min_batch(CollisionPolicy.DCM) == 17
-        assert model.min_batch(CollisionPolicy.SCM) == 1 << 30
-
-    def test_cost_model_sees_the_vectorized_kink(self):
-        """A cost curve that only wins past the resume threshold must yield a
-        crossover in the last probe segment, not 'never'."""
-        from repro.noc import SweepCostModel
-
-        model = SweepCostModel(
-            scalar_point_s={p: 1e-3 for p in CollisionPolicy},
-            batch_samples={
-                # flat-per-point until J=24, then steeply amortizing
-                p: ((8, 10e-3), (24, 26e-3), (128, 52e-3))
-                for p in CollisionPolicy
-            },
-        )
-        crossover = model.min_batch(CollisionPolicy.SCM)
-        assert 24 < crossover < 128
-        # and the piecewise projection is what dispatch would compare
-        assert model.batch_cost_s(CollisionPolicy.SCM, 128) == pytest.approx(52e-3)
-        assert model.batch_cost_s(CollisionPolicy.SCM, 256) == pytest.approx(
-            52e-3 + (256 - 128) * (52e-3 - 26e-3) / (128 - 24)
-        )
-
+class TestCostModel:
     def test_projected_serial_scales_with_parallelism(self):
         from repro.noc import SweepCostModel
 
         model = SweepCostModel(
             scalar_point_s={p: 1e-3 for p in CollisionPolicy},
-            batch_samples={p: _affine_samples(1e-3, 0.1e-3) for p in CollisionPolicy},
             probe_parallelism=16,
         )
         small = model.projected_serial_s(CollisionPolicy.DCM, 100, 16)
         large = model.projected_serial_s(CollisionPolicy.DCM, 100, 32)
         assert large == pytest.approx(2 * small)
-        # the projection takes whichever engine is cheaper for the group
-        assert small == pytest.approx(min(100 * 1e-3, 1e-3 + 100 * 0.1e-3))
+        # at the probe's node count the projection is the measured point cost
+        assert small == pytest.approx(100 * 1e-3)
 
-    def test_adaptive_routes_groups_by_measured_crossover(self, monkeypatch):
-        """With a synthetic model, group size decides the engine per policy."""
-        import repro.noc.sweep as sweep_mod
+    @pytest.mark.parametrize("policy", list(CollisionPolicy))
+    def test_projected_serial_is_linear_in_group_size(self, policy):
         from repro.noc import SweepCostModel
 
         model = SweepCostModel(
-            scalar_point_s={p: 1e-3 for p in CollisionPolicy},
-            batch_samples={
-                CollisionPolicy.DCM: _affine_samples(8e-3, 0.1e-3),  # crossover ~11
-                CollisionPolicy.SCM: _affine_samples(8e-3, 2e-3),  # never batches
-            },
+            scalar_point_s={CollisionPolicy.SCM: 2e-3, CollisionPolicy.DCM: 3e-3},
+            probe_parallelism=16,
         )
-        monkeypatch.setattr(
-            sweep_mod, "_COST_MODELS", {sweep_mod.resolve(None).key: model}
-        )
-        built = []
-        real_kernel = sweep_mod.BatchedNocKernel
+        one = model.projected_serial_s(policy, 1, 16)
+        assert one == pytest.approx(model.scalar_point_s[policy])
+        assert model.projected_serial_s(policy, 7, 16) == pytest.approx(7 * one)
+        # a non-positive node count is clamped to one node
+        assert model.projected_serial_s(policy, 1, 0) == pytest.approx(one / 16)
 
-        class SpyKernel(real_kernel):
-            def __init__(self, topology, config, **kwargs):
-                built.append(config.collision_policy)
-                super().__init__(topology, config, **kwargs)
-
-        monkeypatch.setattr(sweep_mod, "BatchedNocKernel", SpyKernel)
-
-        def jobs_for(policy, count):
-            config = NocConfiguration(collision_policy=policy)
-            streams = random_traffic_streams(8, 10, seed=77, count=count)
-            return [
-                NocSweepJob(
-                    family="generalized-kautz", parallelism=8, degree=3,
-                    config=config, traffic=traffic, seed=stream,
-                )
-                for stream, traffic in enumerate(streams)
-            ]
-
-        outcomes = run_noc_sweep(
-            jobs_for(CollisionPolicy.DCM, 12) + jobs_for(CollisionPolicy.SCM, 12)
-        )
-        # DCM group (12 >= 9) batched; SCM group never batches.
-        assert built == [CollisionPolicy.DCM]
-        for outcome in outcomes:
-            assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
-
-    def test_explicit_min_batch_overrides_the_model(self, monkeypatch):
+    def test_calibration_times_every_policy(self):
         import repro.noc.sweep as sweep_mod
 
-        built = []
-        real_kernel = sweep_mod.BatchedNocKernel
-
-        class SpyKernel(real_kernel):
-            def __init__(self, topology, config, **kwargs):
-                built.append(config.collision_policy)
-                super().__init__(topology, config, **kwargs)
-
-        monkeypatch.setattr(sweep_mod, "BatchedNocKernel", SpyKernel)
-        config = NocConfiguration(collision_policy=CollisionPolicy.SCM)
-        streams = random_traffic_streams(8, 10, seed=78, count=3)
-        jobs = [
-            NocSweepJob(
-                family="generalized-kautz", parallelism=8, degree=3,
-                config=config, traffic=traffic, seed=stream,
-            )
-            for stream, traffic in enumerate(streams)
-        ]
-        run_noc_sweep(jobs, min_batch=2)
-        assert built == [CollisionPolicy.SCM]
-
-    def test_rejects_bad_min_batch(self):
-        from repro.errors import ConfigurationError as CfgErr
-
-        with pytest.raises(CfgErr):
-            run_noc_sweep([], min_batch=0)
+        model = sweep_mod._calibrate()
+        assert set(model.scalar_point_s) == set(CollisionPolicy)
+        assert all(cost > 0 for cost in model.scalar_point_s.values())
+        assert model.probe_parallelism == sweep_mod._PROBE_SPEC[1]
 
     def test_scheduler_cost_model_is_cached(self, monkeypatch):
         import repro.noc.sweep as sweep_mod
         from repro.noc import scheduler_cost_model
 
         calls = []
-        monkeypatch.setattr(sweep_mod, "_COST_MODELS", {})
+        monkeypatch.setattr(sweep_mod, "_COST_MODEL", None)
         real = sweep_mod._calibrate
         monkeypatch.setattr(
             sweep_mod, "_calibrate", lambda: calls.append(1) or real()
@@ -386,6 +298,30 @@ class TestAdaptiveDispatch:
         second = scheduler_cost_model()
         assert first is second
         assert len(calls) == 1
+
+    def test_serial_explore_shaped_sweep_never_calibrates(self, monkeypatch):
+        """Every group of size 1 and ``parallel=None``, as the explore
+        submits them: the sweep must not pay for the calibration probe."""
+        import repro.noc.sweep as sweep_mod
+
+        def boom():
+            raise AssertionError("a serial sweep must not calibrate")
+
+        monkeypatch.setattr(sweep_mod, "_COST_MODEL", None)
+        monkeypatch.setattr(sweep_mod, "_calibrate", boom)
+        traffic = random_traffic(8, 12, seed=5)
+        jobs = [
+            NocSweepJob(
+                family=family, parallelism=8, degree=degree,
+                config=NocConfiguration().with_routing(algorithm),
+                traffic=traffic,
+            )
+            for family, degree in (("generalized-kautz", 3), ("spidergon", None))
+            for algorithm in RoutingAlgorithm
+        ]
+        outcomes = run_noc_sweep(jobs)
+        for outcome in outcomes:
+            assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
 
 
 class TestTopologyCache:

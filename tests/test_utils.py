@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DecodingError
 from repro.utils import (
     Table,
     bits_to_bytes,
     bits_to_int,
+    bounded_draw,
     bytes_to_bits,
     check_in_range,
     check_positive,
@@ -186,3 +191,66 @@ class TestRng:
     def test_spawn_rngs_negative_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
+
+
+class _RecordingBits:
+    """``getrandbits`` that logs every (width, word) it hands out."""
+
+    def __init__(self, seed):
+        self._source = random.Random(seed).getrandbits
+        self.words = []
+
+    def __call__(self, k):
+        word = self._source(k)
+        self.words.append((k, word))
+        return word
+
+
+class TestBoundedDraw:
+    """``bounded_draw`` is the NoC simulators' deflection-draw definition."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.lists(st.integers(1, 16), min_size=1, max_size=40),
+    )
+    def test_rejection_sampling_over_bit_length_words(self, seed, bounds):
+        """Each draw reads ``n.bit_length()``-bit words, rejects every word
+        >= n and returns the first one below n."""
+        source = _RecordingBits(seed)
+        for n in bounds:
+            start = len(source.words)
+            value = bounded_draw(source, n)
+            drawn = source.words[start:]
+            assert all(k == n.bit_length() for k, _ in drawn)
+            assert all(word >= n for _, word in drawn[:-1])
+            assert drawn[-1][1] == value
+            assert 0 <= value < n
+
+    def test_same_seed_same_stream(self):
+        a = random.Random(7).getrandbits
+        b = random.Random(7).getrandbits
+        assert [bounded_draw(a, 3) for _ in range(50)] == [
+            bounded_draw(b, 3) for _ in range(50)
+        ]
+        c = random.Random(8).getrandbits
+        d = random.Random(7).getrandbits
+        assert [bounded_draw(c, 16) for _ in range(50)] != [
+            bounded_draw(d, 16) for _ in range(50)
+        ]
+
+    def test_bound_one_rejects_every_set_bit(self):
+        """n=1 reads 1-bit words until a zero: the heaviest word consumption."""
+        source = _RecordingBits(7)
+        for _ in range(300):
+            start = len(source.words)
+            assert bounded_draw(source, 1) == 0
+            assert [word for _, word in source.words[start:]] == [1] * (
+                len(source.words) - start - 1
+            ) + [0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 15, 16])
+    def test_covers_exactly_the_range(self, n):
+        getrandbits = random.Random(1000 + n).getrandbits
+        values = {bounded_draw(getrandbits, n) for _ in range(50 * n)}
+        assert values == set(range(n))
