@@ -70,22 +70,26 @@ _BACKPRESSURE_MODES = ("wait", "reject")
 _EXECUTOR_MODES = ("thread", "process", "inline")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeResponse:
     """What one client gets back for one decoded frame.
 
     ``bits`` are the decoder's hard decisions — whole codeword for LDPC,
-    information bits for turbo (``decides_info_bits`` says which).  The
-    latency breakdown separates time spent queued (waiting for the batch to
-    fill or the deadline to strike) from time spent decoding.  ``attempts``
-    and ``decode_path`` report how the resilience layer earned the result:
-    ``attempts > 1`` means transparent retries happened, and a
-    ``"degraded:*"`` path means the circuit breaker was open.
+    information bits for turbo (``decides_info_bits`` says which).  They
+    are held bit-packed (``packed_bits``, ``n_bits`` long) and unpacked on
+    every read, so a caller that keeps many responses pays one bit per
+    decision, not one byte.  The latency breakdown separates time spent
+    queued (waiting for the batch to fill or the deadline to strike) from
+    time spent decoding.  ``attempts`` and ``decode_path`` report how the
+    resilience layer earned the result: ``attempts > 1`` means transparent
+    retries happened, and a ``"degraded:*"`` path means the circuit breaker
+    was open.
     """
 
     request_id: int
     codec: str
-    bits: np.ndarray
+    packed_bits: bytes
+    n_bits: int
     iterations: int
     converged: bool
     decides_info_bits: bool
@@ -95,6 +99,12 @@ class DecodeResponse:
     total_s: float
     attempts: int = 1
     decode_path: str = "thread"
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The hard decisions as a fresh ``(n_bits,)`` int8 array of 0/1."""
+        packed = np.frombuffer(self.packed_bits, dtype=np.uint8)
+        return np.unpackbits(packed, count=self.n_bits).astype(np.int8)
 
 
 @dataclass
@@ -591,13 +601,17 @@ class DecodeService:
                 return
             done_at = loop.time()
             decode_s = done_at - dispatched_at
+            codec = lane.entry.spec.label
+            n_bits = outcome.hard_bits.shape[1]
+            packed = np.packbits(outcome.hard_bits, axis=1)
             for index, item in enumerate(batch):
                 request = item.payload
                 queued_s = dispatched_at - item.enqueued_at
                 response = DecodeResponse(
                     request_id=request.request_id,
-                    codec=lane.entry.spec.label,
-                    bits=outcome.hard_bits[index].copy(),
+                    codec=codec,
+                    packed_bits=packed[index].tobytes(),
+                    n_bits=n_bits,
                     iterations=int(outcome.iterations[index]),
                     converged=bool(outcome.converged[index]),
                     decides_info_bits=lane.entry.decides_info_bits,

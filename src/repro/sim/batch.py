@@ -268,13 +268,16 @@ class QuantizedBatchDecoder:
 
 
 class BatchLayeredDecoder:
-    """Layered (horizontal-schedule) decoder vectorised over frames.
+    """Layered (horizontal-schedule) decoder vectorised over frames and layers.
 
-    The layered schedule of paper eqs. (6)-(11) is sequential over checks by
-    construction — each check reads the a-posteriori LLRs the previous check
-    just wrote — so the check loop remains a Python loop, but every step of
-    it processes the whole batch at once: at batch 64 the per-check
-    interpreter overhead is amortised 64x.
+    The layered schedule of paper eqs. (6)-(11) is sequential over checks —
+    each check reads the a-posteriori LLRs the previous check just wrote —
+    but checks that share no variable do not see each other's writes.  Like
+    the paper's PEs, this decoder therefore updates one *layer* at a time
+    (:attr:`repro.sim.edges.EdgeIndex.layers`: a run of consecutive,
+    variable-disjoint checks of one degree, i.e. a block row of a QC code),
+    as one ``(batch, n_checks, d)`` kernel call.  The result is
+    bit-identical to updating the checks one by one in row order.
 
     ``converged`` matches :class:`repro.ldpc.layered.LayeredMinSumDecoder`:
     the latched "was ever a codeword" flag AND a zero final syndrome.
@@ -346,7 +349,7 @@ class BatchLayeredDecoder:
         """Decode a ``(batch, n)`` array of channel LLRs with the layered schedule.
 
         Implements, for every check ``l`` and connected variable ``k`` (all
-        frames in lockstep):
+        frames and all checks of a layer in lockstep):
 
         * ``Q_lk = lambda_k - R_lk_old``                      (eq. 6)
         * ``R_lk_new = normalized min-sum over the other Q``  (eqs. 7-9, 11)
@@ -362,21 +365,19 @@ class BatchLayeredDecoder:
         act_idx = np.arange(batch)
         act_lam = lam_out.copy()
         act_r = np.zeros((batch, edges.n_edges), dtype=np.float64)
-        row_cols = edges.row_cols
-        row_ptr = edges.row_ptr
         for iteration in range(self.max_iterations):
             if act_idx.size == 0:
                 break
-            for check in range(edges.n_rows):
-                cols = row_cols[check]
-                span = slice(row_ptr[check], row_ptr[check + 1])
-                q_values = act_lam[:, cols] - act_r[:, span]
+            for cols, start, stop in edges.layers:
+                # The layer's R messages, (active, n_checks, d) without a copy.
+                r_old = act_r[:, start:stop].reshape(act_idx.size, *cols.shape)
+                q_values = act_lam[:, cols] - r_old
                 r_new = self._row_update(q_values)
                 updated = q_values + r_new
                 if self.fixed_point:
                     updated = self._channel_quantizer.quantize_to_real(updated)
                 act_lam[:, cols] = updated
-                act_r[:, span] = r_new
+                act_r[:, start:stop] = r_new.reshape(act_idx.size, -1)
             unsatisfied = edges.unsatisfied_counts(act_lam < 0)
             iterations[act_idx] = iteration + 1
             for local, frame in enumerate(act_idx):

@@ -1,15 +1,18 @@
 """Flat edge-index arrays for vectorised Tanner-graph message passing.
 
-The per-frame decoders walk H row by row (one Python loop iteration per
-check per frame).  The batch engine instead treats the Tanner graph as a
-flat list of ``n_edges`` edges, stored row-major: edge ``e`` belongs to
-check ``r`` when ``row_ptr[r] <= e < row_ptr[r + 1]`` and touches variable
+The batch engine treats the Tanner graph as a flat list of ``n_edges``
+edges, stored row-major: edge ``e`` belongs to check ``r`` when
+``row_ptr[r] <= e < row_ptr[r + 1]`` and touches variable
 ``edge_cols[e]``.  A ``(batch, n)`` LLR array is gathered into a
 ``(batch, n_edges)`` edge array with one fancy-index, check updates run on
-dense ``(batch, n_checks_d, d)`` tensors (one group per distinct check
-degree ``d`` — WiMAX codes have at most two), and results are scattered
-back the same way.  :class:`EdgeIndex` precomputes every index array those
-gathers and scatters need.
+dense ``(batch, n_checks, d)`` tensors, and results are scattered back the
+same way.  Two groupings of the checks are precomputed: one group per
+distinct check degree ``d`` (the flooding schedule, where every check
+updates at once; WiMAX codes have at most two degrees), and the *layers*
+of the layered schedule — runs of consecutive checks that share no
+variable and have one degree, which for a QC code are its block rows.
+:class:`EdgeIndex` precomputes every index array those gathers and
+scatters need.
 """
 
 from __future__ import annotations
@@ -43,6 +46,25 @@ class DegreeGroup(NamedTuple):
     edges: np.ndarray
 
 
+class Layer(NamedTuple):
+    """A run of consecutive, variable-disjoint checks of one degree.
+
+    Attributes
+    ----------
+    cols:
+        ``(n_checks, degree)`` variable index of every edge of the layer,
+        one row per check in schedule order.  No variable appears twice.
+    start, stop:
+        The layer's edges are the contiguous flat range ``[start, stop)``,
+        so ``edge_values[:, start:stop]`` reshapes to
+        ``(batch, n_checks, degree)`` without a copy.
+    """
+
+    cols: np.ndarray
+    start: int
+    stop: int
+
+
 class EdgeIndex:
     """Precomputed flat edge indexing for one parity-check matrix.
 
@@ -67,6 +89,8 @@ class EdgeIndex:
         self.row_cols: list[np.ndarray] = rows
         self.check_groups: tuple[DegreeGroup, ...] = self._build_check_groups(degrees)
         self.variable_groups: tuple[DegreeGroup, ...] = self._build_variable_groups()
+        #: Layered-schedule layers, in check order (see :class:`Layer`).
+        self.layers: tuple[Layer, ...] = self._build_layers(degrees)
 
     def _build_check_groups(self, degrees: np.ndarray) -> tuple[DegreeGroup, ...]:
         groups = []
@@ -92,6 +116,28 @@ class EdgeIndex:
             idx = starts[:, None] + np.arange(int(degree))[None, :]
             groups.append(DegreeGroup(int(degree), members, order[idx]))
         return tuple(groups)
+
+    def _build_layers(self, degrees: np.ndarray) -> tuple[Layer, ...]:
+        # Greedy in check order: a check joins the current layer unless it
+        # changes the degree or touches a variable the layer already holds.
+        # Updating a layer's checks together then reads and writes exactly
+        # what updating them one after the other would.
+        bounds = [0]
+        used = np.zeros(self.n_cols, dtype=bool)
+        for check, cols in enumerate(self.row_cols):
+            if check > bounds[-1] and (
+                degrees[check] != degrees[bounds[-1]] or used[cols].any()
+            ):
+                bounds.append(check)
+                used[:] = False
+            used[cols] = True
+        bounds.append(self.n_rows)
+        layers = []
+        for first, last in zip(bounds[:-1], bounds[1:]):
+            start, stop = int(self.row_ptr[first]), int(self.row_ptr[last])
+            cols = self.edge_cols[start:stop].reshape(last - first, int(degrees[first]))
+            layers.append(Layer(cols, start, stop))
+        return tuple(layers)
 
     # ------------------------------------------------------------------ #
     # Gather / scatter primitives

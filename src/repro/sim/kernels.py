@@ -2,11 +2,11 @@
 
 Both dense kernels operate on arrays whose *last* axis enumerates the edges
 of one check (the check degree ``d``); any number of leading axes is
-allowed.  The batch decoders call them with ``(batch, n_checks_d, d)``
-tensors (flooding, one call per degree group) or ``(batch, d)`` slices
-(layered, one call per check), and the per-frame decoders reuse exactly the
-same code with a single leading axis so sequential and batched results are
-bit-identical.
+allowed.  The batch decoders call them with ``(batch, n_checks, d)``
+tensors — one call per degree group (flooding) or per layer of
+variable-disjoint checks (layered) — and every check's result depends only
+on its own row of the last axis, so one call over many checks is
+bit-identical to one call per check.
 
 :func:`min_sum_update_segments` is the segment-reduction formulation over
 :class:`~repro.sim.edges.EdgeIndex` flat edges (``ufunc.reduceat``): one

@@ -30,7 +30,7 @@ from repro.errors import (
     ServiceOverloadError,
     UnknownCodecError,
 )
-from repro.service import DecodeService, ServiceThread, default_registry
+from repro.service import DecodeResponse, DecodeService, ServiceThread, default_registry
 from repro.service.demo import generate_llr_frames, run_demo
 
 LDPC = ("ldpc", 576, "1/2")
@@ -93,6 +93,31 @@ async def test_mixed_families_bit_identical_and_conserved(
     assert all(depth == 0 for depth in snapshot.queue_depths.values())
     assert snapshot.throughput_fps > 0.0
     assert snapshot.total_p99_s >= snapshot.queue_p50_s >= 0.0
+
+
+def test_response_bits_round_trip_the_packed_decisions():
+    """``bits`` unpacks to a fresh int8 0/1 array of exactly ``n_bits``."""
+    decisions = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1], dtype=np.int8)
+    response = DecodeResponse(
+        request_id=0,
+        codec="ldpc:576:1/2",
+        packed_bits=np.packbits(decisions).tobytes(),
+        n_bits=decisions.size,
+        iterations=3,
+        converged=True,
+        decides_info_bits=False,
+        batch_size=1,
+        queued_s=0.0,
+        decode_s=0.0,
+        total_s=0.0,
+    )
+    bits = response.bits
+    assert bits.dtype == np.int8
+    np.testing.assert_array_equal(bits, decisions)
+    bits[:] = 0  # a caller's edit must not reach the stored decisions
+    np.testing.assert_array_equal(response.bits, decisions)
+    assert len(response.packed_bits) == 2
+    assert not hasattr(response, "__dict__")
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5))

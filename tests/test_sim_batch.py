@@ -16,9 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel import AWGNChannel, BPSKModulator, QPSKModulator, ebn0_to_noise_sigma
+from repro.channel.quantize import CHANNEL_LLR_SPEC, EXTRINSIC_SPEC, LLRQuantizer
 from repro.errors import ConfigurationError, DecodingError
 from repro.ldpc import FloodingDecoder, LayeredMinSumDecoder, wimax_ldpc_code
 from repro.ldpc.checknode import min_sum_check_update
+from repro.ldpc.flooding import _sum_product_check_update
+from repro.ldpc.hmatrix import ParityCheckMatrix
+from repro.ldpc.wifi import wifi_ldpc_code
+from repro.ldpc.wimax import WIMAX_CODE_RATES
 from repro.sim import (
     BatchDecoder,
     BatchFloodingDecoder,
@@ -127,6 +132,148 @@ class TestBatchSequentialEquivalence:
             decoder.decode_batch(np.zeros((2, small_ldpc_code.n + 1)))
 
 
+def _reference_layered_decode(
+    h: ParityCheckMatrix,
+    channel_llrs: np.ndarray,
+    *,
+    max_iterations: int,
+    kernel: str,
+    fixed_point: bool,
+    early_termination: bool,
+    scaling: float = 0.75,
+) -> tuple[np.ndarray, int, bool, list[int]]:
+    """Scalar layered decoder for one frame: one check at a time, in row order.
+
+    Independent of :mod:`repro.sim` (no edge index, no layers): it runs the
+    per-check recursion of paper eqs. (6)-(11) on the scalar check-node
+    reference and the two fixed-point quantisers.  Returns the final LLRs,
+    the iterations run, the convergence flag (ever a codeword *and* a zero
+    final syndrome) and the per-iteration unsatisfied-check counts.
+    """
+    channel_quantizer = LLRQuantizer(CHANNEL_LLR_SPEC)
+    extrinsic_quantizer = LLRQuantizer(EXTRINSIC_SPEC)
+    lam = np.array(channel_llrs, dtype=np.float64)
+    if fixed_point:
+        lam = channel_quantizer.quantize_to_real(lam)
+    rows = [h.row(r) for r in range(h.n_rows)]
+    r_messages = [np.zeros(cols.size) for cols in rows]
+    history: list[int] = []
+    ever_codeword = False
+    iterations = 0
+    for iteration in range(max_iterations):
+        for check, cols in enumerate(rows):
+            q_values = lam[cols] - r_messages[check]
+            if kernel == "min-sum":
+                r_new = min_sum_check_update(q_values, scaling=scaling)
+            else:
+                r_new = _sum_product_check_update(q_values)
+            if fixed_point:
+                r_new = extrinsic_quantizer.quantize_to_real(r_new)
+            updated = q_values + r_new
+            if fixed_point:
+                updated = channel_quantizer.quantize_to_real(updated)
+            lam[cols] = updated
+            r_messages[check] = r_new
+        iterations = iteration + 1
+        unsatisfied = int(h.syndrome((lam < 0).astype(np.int8)).sum())
+        history.append(unsatisfied)
+        if unsatisfied == 0:
+            ever_codeword = True
+            if early_termination:
+                break
+    final_syndrome = int(h.syndrome((lam < 0).astype(np.int8)).sum())
+    return lam, iterations, ever_codeword and final_syndrome == 0, history
+
+
+def _irregular_h(seed: int = 3) -> ParityCheckMatrix:
+    """A random non-QC H whose check degrees vary from row to row."""
+    rng = np.random.default_rng(seed)
+    n_cols = 48
+    rows = [
+        rng.choice(n_cols, size=int(rng.integers(3, 7)), replace=False)
+        for _ in range(24)
+    ]
+    return ParityCheckMatrix(rows, n_cols)
+
+
+def _signed_zero_llrs(llrs: np.ndarray) -> np.ndarray:
+    """Plant exact ``+0.0`` and ``-0.0`` channel LLRs among the noisy ones."""
+    llrs = llrs.copy()
+    llrs[:, ::13] = 0.0
+    llrs[:, 5::17] = -0.0
+    return llrs
+
+
+def _reference_cases():
+    """``(id, h, llrs)`` for every code the per-check reference pins."""
+    cases = []
+    for rate in WIMAX_CODE_RATES:
+        code = wimax_ldpc_code(576, rate)
+        # Per-class Eb/N0 that mixes frames converging early with frames
+        # running out of iterations (see test_reference_cases_exercise_early_exit).
+        ebn0 = {"1/2": 1.6, "5/6": 3.6}.get(rate, 2.6)
+        _, llrs = _llr_batch(code, 3, ebn0_db=ebn0, seed=41)
+        cases.append((f"wimax576-{rate}", code.h, llrs))
+    for label, code, ebn0 in (
+        ("wimax2304-1/2", wimax_ldpc_code(2304, "1/2"), 1.6),
+        ("wifi1944-1/2", wifi_ldpc_code(1944, "1/2"), 1.6),
+    ):
+        _, llrs = _llr_batch(code, 2, ebn0_db=ebn0, seed=43)
+        cases.append((label, code.h, llrs))
+    h = _irregular_h()
+    rng = np.random.default_rng(47)
+    # All-zero codeword (a codeword of any H) through BPSK/AWGN, sigma = 0.8.
+    llrs = 2.0 * (1.0 + 0.8 * rng.normal(size=(4, h.n_cols))) / 0.8**2
+    cases.append(("irregular", h, llrs))
+    return cases
+
+
+_REFERENCE_CASES = _reference_cases()
+
+
+class TestLayeredPerCheckReference:
+    """The layer-parallel decoder equals a scalar per-check loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "h, llrs",
+        [case[1:] for case in _REFERENCE_CASES],
+        ids=[case[0] for case in _REFERENCE_CASES],
+    )
+    @pytest.mark.parametrize("kernel", ["min-sum", "sum-product"])
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    @pytest.mark.parametrize("early_termination", [True, False])
+    def test_matches_per_check_reference(self, h, llrs, kernel, fixed_point, early_termination):
+        llrs = _signed_zero_llrs(llrs)
+        options = dict(
+            max_iterations=5,
+            kernel=kernel,
+            fixed_point=fixed_point,
+            early_termination=early_termination,
+        )
+        result = BatchLayeredDecoder(h, **options).decode_batch(llrs)
+        for frame in range(llrs.shape[0]):
+            lam, iterations, converged, history = _reference_layered_decode(
+                h, llrs[frame], **options
+            )
+            assert np.array_equal(result.llrs[frame].view(np.int64), lam.view(np.int64))
+            assert np.array_equal(result.hard_bits[frame], (lam < 0).astype(np.int8))
+            assert int(result.iterations[frame]) == iterations
+            assert bool(result.converged[frame]) == converged
+            assert result.unsatisfied_history[frame] == history
+
+    def test_reference_cases_exercise_early_exit(self):
+        """Some frames stop before the iteration cap, some never converge."""
+        stopped_early = never_converged = 0
+        for _, h, llrs in _REFERENCE_CASES:
+            result = BatchLayeredDecoder(h, max_iterations=5).decode_batch(
+                _signed_zero_llrs(llrs)
+            )
+            stopped_early += int((result.iterations < 5).sum())
+            never_converged += int((~result.converged).sum())
+        assert stopped_early > 0
+        assert never_converged > 0
+
+
 class TestKernels:
     @given(st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=9), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
@@ -152,8 +299,6 @@ class TestKernels:
 
     def test_scalar_sum_product_wrapper_matches_kernel(self):
         """The per-check wrapper in flooding.py is a view of the same kernel."""
-        from repro.ldpc.flooding import _sum_product_check_update
-
         q = np.array([0.0, 3.0, -2.0, 0.4])
         assert np.array_equal(_sum_product_check_update(q), sum_product_update(q[None, :])[0])
         assert np.isfinite(_sum_product_check_update(q)).all()
@@ -200,6 +345,63 @@ class TestEdgeIndex:
         variable_edges = np.concatenate([g.edges.ravel() for g in edges.variable_groups])
         assert np.array_equal(np.sort(check_edges), np.arange(edges.n_edges))
         assert np.array_equal(np.sort(variable_edges), np.arange(edges.n_edges))
+
+
+class TestEdgeIndexLayers:
+    @staticmethod
+    def _assert_valid_layers(edges: EdgeIndex) -> None:
+        stop = 0
+        for layer in edges.layers:
+            # Contiguous and in schedule order: each layer starts where the
+            # previous one stopped, and its columns are its edges' columns.
+            assert layer.start == stop
+            stop = layer.stop
+            n_checks, degree = layer.cols.shape
+            assert layer.stop - layer.start == n_checks * degree
+            assert np.array_equal(
+                layer.cols.ravel(), edges.edge_cols[layer.start:layer.stop]
+            )
+            # Variable-disjoint with one degree.
+            assert np.unique(layer.cols).size == layer.cols.size
+        assert stop == edges.n_edges
+        checks = sum(layer.cols.shape[0] for layer in edges.layers)
+        assert checks == edges.n_rows
+
+    @pytest.mark.parametrize(
+        "h", [case[1] for case in _REFERENCE_CASES], ids=[case[0] for case in _REFERENCE_CASES]
+    )
+    def test_layers_partition_edges_in_order(self, h):
+        self._assert_valid_layers(EdgeIndex(h))
+
+    def test_layers_are_maximal_runs(self):
+        """A layer ends only where the next check clashes or changes degree."""
+        edges = EdgeIndex(_irregular_h())
+        assert len({layer.cols.shape for layer in edges.layers}) > 1
+        for layer, following in zip(edges.layers[:-1], edges.layers[1:]):
+            first_next = following.cols[0]
+            clashes = np.isin(first_next, layer.cols).any()
+            assert clashes or following.cols.shape[1] != layer.cols.shape[1]
+
+    @pytest.mark.parametrize(
+        "code, n_layers, checks_per_layer",
+        [
+            (wimax_ldpc_code(2304, "1/2"), 12, 96),
+            (wimax_ldpc_code(576, "5/6"), 4, 24),
+            (wifi_ldpc_code(1944, "1/2"), 12, 81),
+        ],
+        ids=["wimax2304-1/2", "wimax576-5/6", "wifi1944-1/2"],
+    )
+    def test_qc_codes_give_one_layer_per_block_row(self, code, n_layers, checks_per_layer):
+        edges = EdgeIndex(code.h)
+        assert len(edges.layers) == n_layers
+        assert {layer.cols.shape[0] for layer in edges.layers} == {checks_per_layer}
+
+    def test_shared_column_gives_one_layer_per_check(self):
+        # Column 0 sits in every row, so no two checks can share a layer.
+        h = ParityCheckMatrix([[0, 1, 2], [0, 3, 4], [0, 5, 6], [0, 2, 6]], 7)
+        edges = EdgeIndex(h)
+        assert len(edges.layers) == h.n_rows
+        self._assert_valid_layers(edges)
 
 
 class TestEncodeBatch:
