@@ -5,8 +5,9 @@ faithful re-implementation of the seed repository's per-frame turbo decoding
 (symbol-level BCJR with a Python loop over trellis steps and a
 ``np.maximum.at`` scatter, one frame at a time); the *contender* is
 :class:`repro.sim.turbo_batch.BatchTurboDecoder` at batch 64, whose
-alpha/beta/gamma recursions run as dense ``(batch, 8, 4)`` tensor ops per
-step.  Early termination is disabled on both sides so the comparison is a
+forward and backward recursions advance together, one Python step per
+trellis step, over batch-last ``(4, 16, batch)`` edge tensors built from 16
+distinct branch metrics per step.  Early termination is disabled on both sides so the comparison is a
 fixed amount of work.  The acceptance target is >= 10x frames/sec.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_turbo_batch_throughput.py -q -s``.

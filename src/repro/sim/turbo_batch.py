@@ -2,10 +2,11 @@
 
 This is the turbo twin of :mod:`repro.sim.batch`.  The per-frame BCJR in
 :mod:`repro.turbo.bcjr` pays Python interpreter overhead for every trellis
-step of every frame; here the alpha/beta forward–backward recursions and the
-gamma branch metrics run as dense tensor operations over
-``(batch, n_couples, 8, 4)`` arrays, so one pass over the trellis serves the
-whole batch:
+step of every frame; here the alpha/beta recursions and the branch metrics
+run as dense tensor operations with the batch axis last, so one pass over
+the trellis serves the whole batch, and the forward and backward recursions
+advance together in one Python step — the schedule of the paper's SISO,
+which runs both from opposite ends of the window at the same time:
 
 * :class:`BatchBCJR` — one SISO activation over ``(batch, n_couples, 2)``
   channel LLRs in Max-Log-MAP or Log-MAP flavour, with circular-state
@@ -18,11 +19,14 @@ whole batch:
   repeat across two successive iterations leaves the active set, so a batch
   costs only as many iterations as its slowest member.
 
-Memory layout: the hot arrays are ``gamma`` of shape
-``(batch, n_couples, 8, 4)`` and the state-metric lattices ``alpha`` /
-``beta`` of shape ``(batch, n_couples + 1, 8)``, all float64 and C-ordered
-with the batch axis leading, so every per-step operation touches contiguous
-``(batch, 8, 4)`` slabs.  See ``docs/turbo-batching.md``.
+Memory layout: the hot arrays are the branch metrics ``gamma`` of shape
+``(n_couples, 16, batch)`` — only the 16 distinct values of a step, four
+parity combinations times four input symbols, not all 32 edges — and the
+fused state-metric lattice of shape ``(n_couples + 1, 16, batch)``, whose
+row ``j`` holds ``alpha_j`` (rows 0..7) and ``beta_{n-j}`` (rows 8..15).
+All are float64 and C-ordered with the batch axis last, so every per-step
+slab is one contiguous ``(rows, batch)`` block and every reduction runs over
+an outer axis.  See ``docs/turbo-batching.md``.
 
 The per-frame :class:`~repro.turbo.bcjr.BCJRDecoder` and
 :class:`~repro.turbo.decoder.TurboDecoder` delegate here with ``batch=1``;
@@ -90,90 +94,65 @@ class BatchBCJR:
         self.trellis = trellis if trellis is not None else DuoBinaryTrellis()
         self.algorithm = algorithm
         self.extrinsic_scale = 1.0 if algorithm == "log-map" else float(extrinsic_scale)
-        self._next_state = self.trellis.next_state_table()  # (8, 4)
-        self._in_state, self._in_symbol = self.trellis.incoming_table()  # (8, 4) each
-        parity = self.trellis.parity_table()  # (8, 4, 2)
-        symbols = np.arange(NUM_SYMBOLS)
-        # Correlation signs (1 - 2*bit) for the systematic and parity bits.
-        self._sym_a_sign = 1 - 2 * ((symbols >> 1) & 1)  # (4,)
-        self._sym_b_sign = 1 - 2 * (symbols & 1)  # (4,)
-        self._y_sign = 1 - 2 * parity[:, :, 0].astype(np.int64)  # (8, 4)
-        self._w_sign = 1 - 2 * parity[:, :, 1].astype(np.int64)  # (8, 4)
-        # The parity metric takes only four distinct values per trellis step
-        # — 0.5*(±Y ± W) — so the build computes those once and gathers them
-        # through this (8, 4) combination index (bit 1: Y sign, bit 0: W sign).
-        self._parity_combo = (parity[:, :, 0].astype(np.int64) << 1) | parity[
-            :, :, 1
-        ].astype(np.int64)
-
-    # ------------------------------------------------------------------ #
-    # max* helpers
-    # ------------------------------------------------------------------ #
-    def _maxstar_reduce(self, values, axis: int):
-        """Reduce with max* along ``axis`` (same arithmetic as the per-frame path)."""
-        if self.algorithm == "max-log":
-            return np.amax(values, axis=axis)
-        peak = np.amax(values, axis=axis, keepdims=True)
-        return np.log(np.sum(np.exp(values - peak), axis=axis)) + np.squeeze(peak, axis)
-
-    def _logmap_reduce_states(self, values):
-        """Log-MAP max* over the state axis of ``(n, batch, 8, 4)`` metrics.
-
-        Only the Log-MAP a-posteriori uses this (Max-Log-MAP takes the fused
-        per-state path in :meth:`decode_batch`).  The peak runs as a chain of
-        elementwise ``np.maximum`` calls over the eight state slices instead
-        of a middle-axis reduction — 3-4x faster on this layout and
-        bit-identical, since ``max`` is exact under any association order.
-        """
-        peak = np.maximum(values[:, :, 0], values[:, :, 1])
-        for state in range(2, NUM_STATES):
-            np.maximum(peak, values[:, :, state], out=peak)
-        return np.log(np.sum(np.exp(values - peak[:, :, None, :]), axis=2)) + peak
+        next_state = self.trellis.next_state_table()  # (8, 4)
+        in_state, in_symbol = self.trellis.incoming_table()  # (8, 4) each
+        parity = self.trellis.parity_table().astype(np.int64)  # (8, 4, 2)
+        # Row of each branch metric in the 16 distinct values of one step:
+        # 4 * (parity combination 2Y + W) + input symbol.
+        branch_row = (
+            4 * ((parity[:, :, 0] << 1) | parity[:, :, 1]) + np.arange(NUM_SYMBOLS)
+        )  # (8, 4)
+        self._next_state = next_state
+        self._branch_row = branch_row
+        # Fused-step gather tables, shape (4 edges, 16 lattice rows).  Lattice
+        # row t < 8 is alpha state t, reached by its four incoming edges in the
+        # flat scan order the sequential scatter visits; row 8 + s is beta
+        # state s, left by its four outgoing edges in symbol order.  Per edge,
+        # _state_gather names the lattice row its state metric comes from and
+        # _gamma_gather its row among the step's 16 branch metrics.
+        self._state_gather = np.concatenate([in_state, 8 + next_state]).T
+        self._gamma_gather = np.concatenate(
+            [branch_row[in_state, in_symbol], branch_row]
+        ).T
+        self._backward_column = np.arange(2 * NUM_STATES) >= NUM_STATES  # (16,)
 
     # ------------------------------------------------------------------ #
     # Branch metrics
     # ------------------------------------------------------------------ #
-    def _branch_metrics(self, systematic_llrs, parity_llrs, apriori):
-        """Compute ``gamma`` in *time-major* layout ``(n, batch, 8, 4)``.
+    @staticmethod
+    def _signed_pair_sums(x, y, axis: int):
+        """``0.5 * (±x ± y)``, the four sign combinations stacked on ``axis``.
 
-        Bit metrics use the symmetric correlation form ``0.5 * (1 - 2*bit) * LLR``
-        with the convention ``LLR = log p(0)/p(1)``.  Time-major storage makes
-        every per-step slab ``gamma[k]`` contiguous, which is what keeps the
-        forward/backward Python loops memory-friendly; the arithmetic (and
-        hence the bit pattern of every metric) is unchanged.
+        Entry ``2*i + j`` negates ``x`` when ``i`` is set and ``y`` when ``j``
+        is set — the symmetric correlation form
+        ``0.5 * ((1 - 2i) * x + (1 - 2j) * y)`` with the convention
+        ``LLR = log p(0)/p(1)``, summed in the same order so every bit
+        pattern (signed zeros included) matches it.  For the systematic pair
+        (A, B) entry ``u`` is the metric of symbol ``u = 2A + B``; for the
+        parity pair (Y, W), that of parity combination ``2Y + W``.
         """
-        sys_tm = np.ascontiguousarray(
-            np.transpose(systematic_llrs, (1, 0, 2))
-        )  # (n, batch, 2)
-        par_tm = np.ascontiguousarray(np.transpose(parity_llrs, (1, 0, 2)))
-        apr_tm = np.ascontiguousarray(np.transpose(apriori, (1, 0, 2)))  # (n, batch, 4)
-        sys_metric = self._sym_a_sign * sys_tm[..., 0:1]
-        sys_metric += self._sym_b_sign * sys_tm[..., 1:2]
-        sys_metric *= 0.5  # (n, batch, 4)
-        # Parity contribution: only four distinct values 0.5*(±Y ± W) exist
-        # per step, so compute those and spread them over (8, 4) by gather —
-        # one big write instead of three (sign arithmetic is exact, so the
-        # bit patterns match the naive 0.5*(y_sign*Y + w_sign*W) form).
-        y_llr, w_llr = par_tm[..., 0], par_tm[..., 1]
-        combos = np.empty((*y_llr.shape, 4), dtype=np.float64)  # (n, batch, 4)
-        combos[..., 0] = y_llr + w_llr  # Y=0, W=0 -> both signs +
-        combos[..., 1] = y_llr - w_llr  # Y=0, W=1
-        combos[..., 2] = w_llr - y_llr  # Y=1, W=0
-        combos[..., 3] = -combos[..., 0]  # Y=1, W=1
-        combos *= 0.5
-        gamma = combos[:, :, self._parity_combo]  # (n, batch, 8, 4)
-        gamma += sys_metric[..., None, :]
-        gamma += apr_tm[..., None, :]
-        return gamma
+        # Written in place rather than np.stack-ed from four temporaries: on
+        # the 2400-couple BER sweep those temporaries raised peak RSS by
+        # ~15 MB and the turbo leg's time by ~25 %.
+        shape = list(np.broadcast_shapes(x.shape, y.shape))
+        shape.insert(axis % (len(shape) + 1), NUM_SYMBOLS)
+        sums = np.empty(shape, dtype=np.float64)
+        combos = np.moveaxis(sums, axis, 0)
+        np.add(x, y, out=combos[0])
+        np.subtract(x, y, out=combos[1])
+        np.subtract(y, x, out=combos[2])  # (-x) + y
+        np.negative(x, out=combos[3])
+        combos[3] -= y  # (-x) + (-y)
+        sums *= 0.5
+        return sums
 
     def systematic_symbol_metric(self, systematic_llrs: np.ndarray) -> np.ndarray:
         """Per-symbol systematic metric differences ``lambda_k[c_u] - lambda_k[c_0]``.
 
         Accepts ``(..., n, 2)`` LLR arrays; leading axes are preserved.
         """
-        sys_metric = 0.5 * (
-            self._sym_a_sign * systematic_llrs[..., 0:1]
-            + self._sym_b_sign * systematic_llrs[..., 1:2]
+        sys_metric = self._signed_pair_sums(
+            systematic_llrs[..., 0], systematic_llrs[..., 1], axis=-1
         )
         return sys_metric - sys_metric[..., 0:1]
 
@@ -224,64 +203,93 @@ class BatchBCJR:
                     f"apriori must have shape ({batch}, {n}, {NUM_SYMBOLS}), "
                     f"got {apriori_arr.shape}"
                 )
-        gamma = self._branch_metrics(sys_llrs, par_llrs, apriori_arr)  # (n, batch, 8, 4)
+        # Batch-last working layout: every per-step slab is a contiguous
+        # (rows, batch) block and every reduction runs over an outer axis.
+        apr_t = np.ascontiguousarray(apriori_arr.transpose(1, 2, 0))  # (n, 4, B)
+        sys_metric = self._signed_pair_sums(sys_llrs[:, :, 0].T, sys_llrs[:, :, 1].T, axis=1)
+        par_metric = self._signed_pair_sums(par_llrs[:, :, 0].T, par_llrs[:, :, 1].T, axis=1)
+        # The 16 distinct branch metrics of each step, G[k, 4p + u] =
+        # (parity[p] + systematic[u]) + apriori[u] — the seed's gamma order.
+        gamma = par_metric[:, :, None, :] + sys_metric[:, None, :, :]  # (n, 4, 4, B)
+        gamma += apr_t[:, None, :, :]
+        gamma = gamma.reshape(n, 2 * NUM_STATES, batch)
 
-        # State-metric lattices in time-major layout: every per-step slab
-        # alpha[k] / beta[k] is a contiguous (batch, 8) array.
-        alpha = np.empty((n + 1, batch, NUM_STATES), dtype=np.float64)
-        beta = np.empty((n + 1, batch, NUM_STATES), dtype=np.float64)
-        alpha[0] = self._normalize_init(initial_alpha, batch)
-        beta[n] = self._normalize_init(initial_beta, batch)
+        # Fused lattice: row j holds alpha_j (rows 0..7) and beta_{n-j}
+        # (rows 8..15), so one step advances both recursions (eqs. (3) and
+        # (4)) from opposite ends of the frame, like the hardware SISO.
+        lattice = np.empty((n + 1, 2 * NUM_STATES, batch), dtype=np.float64)
+        lattice[0, :NUM_STATES] = self._normalize_init(initial_alpha, batch).T
+        lattice[0, NUM_STATES:] = self._normalize_init(initial_beta, batch).T
+        step = np.arange(n)[:, None, None]
+        gamma_time = np.where(self._backward_column, n - 1 - step, step)  # (n, 1, 16)
+        gamma_index = 2 * NUM_STATES * gamma_time + self._gamma_gather  # (n, 4, 16)
+        gamma_rows = gamma.reshape(n * 2 * NUM_STATES, batch)
+        state_gather = self._state_gather
+        log_map = self.algorithm == "log-map"
+        for j in range(n):
+            cand = lattice[j][state_gather]  # (4, 16, B)
+            cand += gamma_rows[gamma_index[j]]
+            new = lattice[j + 1]
+            if log_map:
+                peak = cand.max(axis=0)
+                cand -= peak
+                np.exp(cand, out=cand)
+                total = cand.sum(axis=0)
+                np.log(total, out=total)
+                np.add(total, peak, out=new)
+            else:
+                cand.max(axis=0, out=new)
+            halves = new.reshape(2, NUM_STATES, batch)
+            halves -= halves.max(axis=1, keepdims=True)
 
-        next_state, in_state, in_symbol = self._next_state, self._in_state, self._in_symbol
-        # Forward recursion (eq. (3)): spread alpha over the outgoing edges,
-        # then gather each state's four incoming edges and reduce.
-        for k in range(n):
-            outgoing = alpha[k][:, :, None] + gamma[k]  # (batch, 8, 4)
-            cand = outgoing[:, in_state, in_symbol]
-            new_alpha = self._maxstar_reduce(cand, axis=2)
-            new_alpha -= np.amax(new_alpha, axis=1, keepdims=True)
-            alpha[k + 1] = new_alpha
-        # Backward recursion (eq. (4)).  The gather owns its memory, so the
-        # branch metrics accumulate in place (one fewer temporary per step).
-        for k in range(n - 1, -1, -1):
-            incoming = beta[k + 1][:, next_state]  # (batch, 8, 4)
-            incoming += gamma[k]
-            new_beta = self._maxstar_reduce(incoming, axis=2)
-            new_beta -= np.amax(new_beta, axis=1, keepdims=True)
-            beta[k] = new_beta
-
-        final_alpha = alpha[n].copy()
-        final_beta = beta[0].copy()
+        final_alpha = lattice[n, :NUM_STATES].T.copy()
+        final_beta = lattice[n, NUM_STATES:].T.copy()
 
         # A-posteriori per symbol (eq. (1) before subtracting the systematic
-        # part): b_metric[k] = alpha[k] + gamma[k] + beta[k+1][next_state],
-        # reduced with max* over the originating state.
-        if self.algorithm == "max-log":
-            # Fused accumulate-and-maximise per state slice: never
-            # materialises the (n, batch, 8, 4) b_metric (max is exact under
-            # any association order, so the bit patterns are unchanged).
-            apo_tm = None
-            for state in range(NUM_STATES):
-                term = gamma[:, :, state, :] + alpha[:-1][:, :, state, None]
-                term += beta[1:][:, :, next_state[state]]
-                if apo_tm is None:
-                    apo_tm = term
-                else:
-                    np.maximum(apo_tm, term, out=apo_tm)
+        # part): max* over the originating state s of
+        # (alpha_k[s] + gamma_k[s, u]) + beta_{k+1}[next_state[s, u]].
+        alpha = lattice[:n, :NUM_STATES]  # (n, 8, B): alpha_k
+        beta_next = lattice[::-1][1:, NUM_STATES:]  # (n, 8, B): beta_{k+1}
+        branch_row, next_state = self._branch_row, self._next_state
+        if log_map:
+            # The Jacobian sum needs all eight state terms of a symbol at once.
+            apo_t = np.empty((n, NUM_SYMBOLS, batch), dtype=np.float64)
+            for u in range(NUM_SYMBOLS):
+                term = gamma[:, branch_row[:, u]]  # (n, 8, B)
+                term += alpha
+                term += beta_next[:, next_state[:, u]]
+                peak = term.max(axis=1)
+                term -= peak[:, None]
+                np.exp(term, out=term)
+                # Left-to-right sum over states (the seed's order) for any batch.
+                total = term[:, 0] + term[:, 1]
+                for state in range(2, NUM_STATES):
+                    total += term[:, state]
+                np.log(total, out=total)
+                np.add(total, peak, out=apo_t[:, u])
         else:
-            # Log-MAP needs every branch metric for the Jacobian sum, so the
-            # b_metric is materialised by consuming gamma in place.
-            gamma += alpha[:-1][:, :, :, None]
-            gamma += beta[1:][:, :, next_state]
-            apo_tm = self._logmap_reduce_states(gamma)
-        apo_raw = np.ascontiguousarray(np.transpose(apo_tm, (1, 0, 2)))  # (batch, n, 4)
-        apo = apo_raw - apo_raw[..., 0:1]
+            # max is exact under any association order, so accumulate state
+            # by state into (n, 4, B) without materialising every term.
+            apo_t = None
+            for state in range(NUM_STATES):
+                term = gamma[:, branch_row[state]]  # (n, 4, B)
+                term += alpha[:, state, None]
+                term += beta_next[:, next_state[state]]
+                if apo_t is None:
+                    apo_t = term
+                else:
+                    np.maximum(apo_t, term, out=apo_t)
 
-        sys_diff = self.systematic_symbol_metric(sys_llrs)
-        apr_diff = apriori_arr - apriori_arr[..., 0:1]
-        extrinsic = self.extrinsic_scale * (apo - sys_diff - apr_diff)
-
+        apo_t -= apo_t[:, 0:1].copy()
+        # extrinsic = sigma * ((apo - sys_diff) - apr_diff), in the seed's order.
+        extrinsic_t = apo_t - (sys_metric - sys_metric[:, 0:1])
+        extrinsic_t -= apr_t - apr_t[:, 0:1]
+        # Outputs are batch-major (B, n, 4); each is written once through a
+        # transposed view.
+        apo = np.empty((batch, n, NUM_SYMBOLS), dtype=np.float64)
+        np.copyto(apo.transpose(1, 2, 0), apo_t)
+        extrinsic = np.empty_like(apo)
+        np.multiply(extrinsic_t, self.extrinsic_scale, out=extrinsic.transpose(1, 2, 0))
         hard_symbols = np.argmax(apo, axis=2).astype(np.int64)
         return BatchBCJRResult(
             aposteriori=apo,

@@ -151,13 +151,16 @@ class DuoBinaryTrellis:
         return self._parity.copy()
 
     def incoming_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat incoming-edge tables for the batched forward recursion.
+        """Flat incoming-edge tables: the alpha half of the fused BCJR gather.
 
         Returns ``(in_state, in_symbol)``, each of shape ``(8, 4)``: entry
         ``[t, i]`` is the source state / input symbol of the ``i``-th edge
         arriving at state ``t``, in flat ``(state, symbol)`` scan order —
         the same order the scatter in the sequential recursion visits, which
         is what keeps the batched Log-MAP bit-identical.
+        :class:`repro.sim.turbo_batch.BatchBCJR` folds these edges into the
+        gather tables of its fused step, which advances the forward (alpha)
+        and backward (beta) recursions together.
         """
         return self._in_state.copy(), self._in_symbol.copy()
 

@@ -6,7 +6,14 @@ LDPC engine:
 * the batched BCJR is *bit-identical* to the seed repository's per-frame
   recursion (a straight port of which is kept below as the pinning
   reference) for both max* flavours, including extrinsics and the circular
-  state metrics,
+  state metrics — frame by frame at batch > 1, for odd and even frame
+  lengths, and on signed zeros, punctured parity, all-zero inputs (argmax
+  ties) and saturated LLRs,
+* the batched turbo decoder reproduces an independent port of the seed's
+  per-frame turbo loop on that reference (hard bits, a-posteriori, iteration
+  counts, convergence flags, decision-change histories) for both rates, both
+  extrinsic-exchange modes and batches whose frames exit at different
+  iterations,
 * stacking frames on the batch axis changes nothing — the batched turbo
   decoder returns the same hard bits, iteration counts, convergence flags
   and decision-change histories as the per-frame ``decode`` for every frame,
@@ -30,6 +37,7 @@ from repro.sim import (
     resolve_code_rate,
 )
 from repro.turbo import BCJRDecoder, DuoBinaryTrellis, TurboDecoder, TurboEncoder
+from repro.turbo.bits import bit_to_symbol_extrinsic, symbol_to_bit_extrinsic
 
 _NEG_INF = -1.0e30
 
@@ -120,6 +128,82 @@ class _SeedBCJR:
         return apo, extrinsic, hard, alpha[n].copy(), beta[0].copy()
 
 
+class _SeedTurboDecoder:
+    """Straight port of the seed repository's per-frame turbo loop on :class:`_SeedBCJR`.
+
+    Independent of the batch engine (which ``TurboDecoder`` delegates to):
+    its own LLR split, CTC interleaving of pairs and symbol vectors, and
+    early exit after the first iteration whose decisions repeat.
+    """
+
+    def __init__(self, encoder, max_iterations, algorithm="max-log", bit_level=False):
+        self.encoder = encoder
+        self.max_iterations = max_iterations
+        self.bit_level = bit_level
+        self._siso = _SeedBCJR(algorithm=algorithm)
+        self._perm = encoder.interleaver.permutation()
+        self._flags = encoder.interleaver.swap_flags().astype(bool)
+
+    def _split(self, llrs):
+        n = self.encoder.n_couples
+        systematic = llrs[: 2 * n].reshape(n, 2)
+        parity1 = np.zeros((n, 2))
+        parity2 = np.zeros((n, 2))
+        if self.encoder.rate == "1/2":
+            parity1[:, 0] = llrs[2 * n : 3 * n]
+            parity2[:, 0] = llrs[3 * n : 4 * n]
+        else:
+            parity1[:] = llrs[2 * n : 4 * n].reshape(n, 2)
+            parity2[:] = llrs[4 * n : 6 * n].reshape(n, 2)
+        return systematic, parity1, parity2
+
+    def _interleave(self, values, swap_columns):
+        reordered = values[self._perm].copy()
+        swapped = self._flags[self._perm]
+        reordered[swapped] = reordered[swapped][:, swap_columns]
+        return reordered
+
+    def _deinterleave_vectors(self, values):
+        natural = np.empty_like(values)
+        natural[self._perm] = values
+        natural[self._flags] = natural[self._flags][:, [0, 2, 1, 3]]
+        return natural
+
+    def _exchange(self, extrinsic):
+        if not self.bit_level:
+            return extrinsic
+        return bit_to_symbol_extrinsic(symbol_to_bit_extrinsic(extrinsic))
+
+    def decode(self, llrs):
+        """Return ``(hard_bits, aposteriori, iterations, converged, changes)``."""
+        sys_llrs, par1, par2 = self._split(llrs)
+        sys_interleaved = self._interleave(sys_llrs, [1, 0])
+        ext_2_to_1 = np.zeros((self.encoder.n_couples, 4))
+        alpha1 = beta1 = alpha2 = beta2 = None
+        previous = None
+        changes: list[int] = []
+        converged = False
+        for iteration in range(self.max_iterations):
+            _, ext1, _, alpha1, beta1 = self._siso.decode(
+                sys_llrs, par1, ext_2_to_1, alpha1, beta1
+            )
+            ext_1_to_2 = self._interleave(self._exchange(ext1), [0, 2, 1, 3])
+            apo2, ext2, _, alpha2, beta2 = self._siso.decode(
+                sys_interleaved, par2, ext_1_to_2, alpha2, beta2
+            )
+            ext_2_to_1 = self._deinterleave_vectors(self._exchange(ext2))
+            aposteriori = self._deinterleave_vectors(apo2)
+            hard = np.argmax(aposteriori, axis=1)
+            if previous is not None:
+                changes.append(int(np.count_nonzero(hard != previous)))
+                if changes[-1] == 0:
+                    converged = True
+                    break
+            previous = hard
+        hard_bits = np.stack([(hard >> 1) & 1, hard & 1], axis=1).reshape(-1)
+        return hard_bits, aposteriori, iteration + 1, converged, changes
+
+
 def _turbo_llr_batch(
     encoder: TurboEncoder, batch: int, ebn0_db: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,6 +219,40 @@ def _turbo_llr_batch(
     return info, codewords, modulator.demodulate_llr(
         received, channel.llr_noise_variance(False)
     )
+
+
+def _bits(values) -> np.ndarray:
+    """Bit patterns of float64 values (so +0.0 and -0.0 differ)."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _seed_bcjr_case(kind: str, batch: int, n: int, seed: int):
+    """Inputs of one BCJR activation: LLRs, a-priori and state-metric inits.
+
+    ``punctured`` zeroes a third of the parity LLRs; ``signed_zeros`` plants
+    +0.0 and -0.0 in every input; ``all_zero`` feeds zeros everywhere (every
+    a-posteriori ties, so the argmax picks symbol 0) with default a-priori and
+    inits; ``saturated`` uses +-1e6 LLRs.
+    """
+    rng = np.random.default_rng(seed)
+    sys_llrs = rng.normal(0.0, 3.0, (batch, n, 2))
+    par_llrs = rng.normal(0.0, 3.0, (batch, n, 2))
+    apriori = rng.normal(0.0, 1.0, (batch, n, 4))
+    apriori[..., 0] = 0.0
+    init_alpha = rng.normal(0.0, 1.0, (batch, 8))
+    init_beta = rng.normal(0.0, 1.0, (batch, 8))
+    if kind == "punctured":
+        par_llrs[rng.random(par_llrs.shape) < 0.3] = 0.0
+    elif kind == "signed_zeros":
+        for values in (sys_llrs, par_llrs, apriori, init_alpha, init_beta):
+            planted = rng.random(values.shape) < 0.4
+            values[planted] = np.where(rng.random(planted.sum()) < 0.5, 0.0, -0.0)
+    elif kind == "all_zero":
+        return np.zeros_like(sys_llrs), np.zeros_like(par_llrs), None, None, None
+    elif kind == "saturated":
+        sys_llrs = np.where(sys_llrs < 0.0, -1.0e6, 1.0e6)
+        par_llrs = np.where(par_llrs < 0.0, -1.0e6, 1.0e6)
+    return sys_llrs, par_llrs, apriori, init_alpha, init_beta
 
 
 class TestBCJRPinnedToSeedReference:
@@ -166,6 +284,40 @@ class TestBCJRPinnedToSeedReference:
         assert np.array_equal(result.hard_symbols, hard)
         assert np.array_equal(result.final_alpha, falpha)
         assert np.array_equal(result.final_beta, fbeta)
+
+    @pytest.mark.parametrize("algorithm", ["max-log", "log-map"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 47, 48])
+    @pytest.mark.parametrize(
+        "kind", ["punctured", "signed_zeros", "all_zero", "saturated"]
+    )
+    def test_batch_bit_identical_to_seed_per_frame(self, algorithm, n, kind):
+        """Every frame of a batched activation equals the seed recursion bit for bit.
+
+        Odd ``n`` makes the fused forward and backward halves cross mid-frame.
+        """
+        batch = 4
+        sys_llrs, par_llrs, apriori, init_alpha, init_beta = _seed_bcjr_case(
+            kind, batch, n, seed=n
+        )
+        result = BatchBCJR(algorithm=algorithm).decode_batch(
+            sys_llrs, par_llrs, apriori=apriori,
+            initial_alpha=init_alpha, initial_beta=init_beta,
+        )
+        seed = _SeedBCJR(algorithm=algorithm)
+        for frame in range(batch):
+            apo, ext, hard, falpha, fbeta = seed.decode(
+                sys_llrs[frame], par_llrs[frame],
+                apriori=None if apriori is None else apriori[frame],
+                initial_alpha=None if init_alpha is None else init_alpha[frame],
+                initial_beta=None if init_beta is None else init_beta[frame],
+            )
+            assert np.array_equal(_bits(result.aposteriori[frame]), _bits(apo))
+            assert np.array_equal(_bits(result.extrinsic[frame]), _bits(ext))
+            assert np.array_equal(result.hard_symbols[frame], hard)
+            assert np.array_equal(_bits(result.final_alpha[frame]), _bits(falpha))
+            assert np.array_equal(_bits(result.final_beta[frame]), _bits(fbeta))
+        if kind == "all_zero":
+            assert not result.hard_symbols.any()
 
     def test_batched_activation_matches_per_frame(self):
         rng = np.random.default_rng(5)
@@ -321,6 +473,32 @@ class TestBatchTurboEquivalence:
             )
         with pytest.raises(DecodingError):
             BatchTurboDecoder(small_turbo_encoder, max_iterations=0)
+
+
+class TestBatchTurboPinnedToSeedLoop:
+    """The batched decoder reproduces an independent per-frame seed loop bit for bit."""
+
+    @pytest.mark.parametrize("rate", ["1/2", "1/3"])
+    @pytest.mark.parametrize("bit_level", [False, True])
+    @pytest.mark.parametrize("algorithm", ["max-log", "log-map"])
+    def test_matches_seed_turbo_loop(self, rate, bit_level, algorithm):
+        encoder = TurboEncoder(n_couples=48, rate=rate)
+        # At 1.5 dB these frames stabilise at different iterations, so the
+        # active set is compacted more than once during the batch.
+        _, _, llrs = _turbo_llr_batch(encoder, 8, ebn0_db=1.5, seed=5)
+        result = BatchTurboDecoder(
+            encoder, max_iterations=6, algorithm=algorithm, bit_level_exchange=bit_level
+        ).decode_batch(llrs)
+        exits = result.iterations[result.converged]
+        assert np.unique(exits).size >= 2
+        seed = _SeedTurboDecoder(encoder, 6, algorithm=algorithm, bit_level=bit_level)
+        for frame in range(llrs.shape[0]):
+            hard_bits, apo, iterations, converged, changes = seed.decode(llrs[frame])
+            assert np.array_equal(result.hard_bits[frame], hard_bits)
+            assert np.array_equal(_bits(result.aposteriori[frame]), _bits(apo))
+            assert int(result.iterations[frame]) == iterations
+            assert bool(result.converged[frame]) == converged
+            assert result.decision_changes[frame] == changes
 
 
 class TestTurboEncodeBatch:
