@@ -8,8 +8,9 @@ the qualitative trend checks (Kautz wins, D = 3 sweet spot, throughput grows
 with P, weak dependence on the routing algorithm).
 
 The full grid of the paper (6 topology groups x 4 parallelisms x 3 routing
-algorithms) takes a few minutes in pure Python; pass ``--quick`` to sweep a
-representative subset in ~30 s.
+algorithms) takes several seconds in pure Python; pass ``--quick`` to sweep a
+representative subset in about two.  The exit status is 1 when a trend check
+fails, so the script doubles as an end-to-end smoke test.
 
 Run with ``python examples/table1_sweep.py [--quick]``.
 """
@@ -17,6 +18,7 @@ Run with ``python examples/table1_sweep.py [--quick]``.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from repro import DecoderSpec, DesignSpaceExplorer, wimax_ldpc_code
@@ -41,7 +43,7 @@ FULL_PARALLELISMS = [16, 24, 32, 36]
 QUICK_PARALLELISMS = [16, 32]
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="sweep a reduced grid")
     args = parser.parse_args()
@@ -64,7 +66,8 @@ def main() -> None:
     print()
 
     print("Trend checks (the claims the paper derives from Table I):")
-    for check in check_table1_trends(points):
+    checks = check_table1_trends(points)
+    for check in checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"  [{status}] {check.name}: {check.detail}")
 
@@ -74,7 +77,8 @@ def main() -> None:
         f"D={best.degree} P={best.parallelism} {best.routing_algorithm.value} -> "
         f"{best.cell()} [Mb/s / mm^2]"
     )
+    return 0 if all(check.passed for check in checks) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,8 +9,8 @@ variables).  Both views are provided here.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,6 +46,15 @@ class CheckAdjacencyGraph:
     def total_weight(self) -> int:
         """Sum of all edge weights (total shared-variable count)."""
         return sum(self.weights.values())
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(heads, tails, weights)`` int64 arrays of the edges, in dict order."""
+        count = len(self.weights)
+        pairs = np.fromiter(
+            chain.from_iterable(self.weights), dtype=np.int64, count=2 * count
+        ).reshape(count, 2)
+        weights = np.fromiter(self.weights.values(), dtype=np.int64, count=count)
+        return pairs[:, 0], pairs[:, 1], weights
 
     def adjacency_lists(self) -> list[list[tuple[int, int]]]:
         """Adjacency list per check: ``adj[i] = [(j, weight), ...]``."""
@@ -98,6 +107,37 @@ class TannerGraph:
         """Average variable-node degree."""
         return float(self._h.col_degrees().mean())
 
+    def _check_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct check pairs ``(a, b)``, ``a < b``, sharing a variable, and the
+        number of variables each pair shares.
+
+        Pairs are listed in order of first appearance when walking the
+        variables in ascending order and, within a variable, its checks'
+        pairs ``(c_i, c_j)``, ``i < j``, in lexicographic order.
+        """
+        h = self._h
+        degrees = h.col_degrees()
+        lows: list[np.ndarray] = []
+        highs: list[np.ndarray] = []
+        pair_variables: list[np.ndarray] = []
+        for degree in np.unique(degrees[degrees >= 2]).tolist():
+            variables = np.flatnonzero(degrees == degree)
+            checks = np.stack([h.col(variable) for variable in variables.tolist()])
+            idx_a, idx_b = np.triu_indices(degree, 1)
+            # Each column lists its checks in ascending order, so low < high.
+            lows.append(checks[:, idx_a].ravel())
+            highs.append(checks[:, idx_b].ravel())
+            pair_variables.append(np.repeat(variables, idx_a.size))
+        if not lows:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty
+        order = np.argsort(np.concatenate(pair_variables), kind="stable")
+        keys = (np.concatenate(lows) * h.n_rows + np.concatenate(highs))[order]
+        unique_keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        by_appearance = np.argsort(first)
+        unique_keys = unique_keys[by_appearance]
+        return unique_keys // h.n_rows, unique_keys % h.n_rows, counts[by_appearance]
+
     def check_adjacency_graph(self) -> CheckAdjacencyGraph:
         """Build the weighted check-to-check adjacency graph.
 
@@ -105,34 +145,21 @@ class TannerGraph:
         edge weight is the number of shared variables.  With the layered
         schedule this weight is the number of extrinsic messages exchanged
         between the two checks per iteration, which is exactly the traffic
-        quantity the NoC mapping wants to keep local.
+        quantity the NoC mapping wants to keep local.  Edges are keyed
+        ``(a, b)`` with ``a < b`` and inserted in the order of
+        :meth:`_check_pairs`, which the partitioner's tie-breaking observes.
         """
-        weights: dict[tuple[int, int], int] = defaultdict(int)
-        for variable in range(self._h.n_cols):
-            checks = self._h.col(variable)
-            for idx_a in range(checks.size):
-                for idx_b in range(idx_a + 1, checks.size):
-                    a, b = int(checks[idx_a]), int(checks[idx_b])
-                    key = (a, b) if a < b else (b, a)
-                    weights[key] += 1
-        return CheckAdjacencyGraph(n_checks=self._h.n_rows, weights=dict(weights))
+        heads, tails, counts = self._check_pairs()
+        weights = dict(zip(zip(heads.tolist(), tails.tolist()), counts.tolist()))
+        return CheckAdjacencyGraph(n_checks=self._h.n_rows, weights=weights)
 
     def girth_lower_bound(self, max_cycle: int = 8) -> int:
-        """Detect the shortest cycle length up to ``max_cycle`` (4 or 6), else return ``max_cycle``.
+        """Return 4 if the Tanner graph has a length-4 cycle, else ``max_cycle``.
 
         A cheap structural sanity check used by tests: WiMAX codes are 4-cycle
-        free.  Only cycle lengths 4 and 6 are checked exhaustively; longer
-        girths simply report ``max_cycle``.
+        free.  A 4-cycle exists iff two checks share two or more variables.
+        No longer cycle is searched for, so a graph with 6-cycles and no
+        4-cycle also reports ``max_cycle``.
         """
-        # Length-4 cycles: two checks sharing two or more variables.
-        shared: dict[tuple[int, int], int] = defaultdict(int)
-        for variable in range(self._h.n_cols):
-            checks = self._h.col(variable)
-            for idx_a in range(checks.size):
-                for idx_b in range(idx_a + 1, checks.size):
-                    a, b = int(checks[idx_a]), int(checks[idx_b])
-                    key = (a, b) if a < b else (b, a)
-                    shared[key] += 1
-                    if shared[key] >= 2:
-                        return 4
-        return max_cycle
+        _, _, counts = self._check_pairs()
+        return 4 if counts.size and int(counts.max()) >= 2 else max_cycle

@@ -23,7 +23,7 @@ from repro.errors import MappingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
 from repro.ldpc.tanner import TannerGraph
 from repro.mapping.partition import PartitionResult, partition_graph
-from repro.noc.traffic import NodeTraffic, TrafficPattern
+from repro.noc.traffic import TrafficPattern, message_slots, traffic_from_arrays
 
 
 @dataclass(frozen=True)
@@ -74,24 +74,26 @@ class LdpcMapping:
         )
 
 
-def _next_check_links(h: ParityCheckMatrix) -> list[list[tuple[int, int]]]:
-    """For every check, the (variable, next check) pairs it must update.
+def _edge_successors(h: ParityCheckMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row-major Tanner edges: each edge's check and its consuming edge.
 
-    ``result[l]`` lists, for each variable ``v`` of check ``l`` (in row order),
-    the check that consumes the updated LLR of ``v`` — the successor of ``l``
-    in the cyclic schedule order of ``v``'s checks.
+    ``successor[e]`` is the edge of the same variable on the next check in
+    that variable's cyclic schedule order — the consumer of the LLR that
+    edge ``e`` updates.  A stable sort by column lists each column's edges
+    in ascending check order.
     """
-    links: list[list[tuple[int, int]]] = [[] for _ in range(h.n_rows)]
-    for variable in range(h.n_cols):
-        checks = h.col(variable)
-        degree = checks.size
-        if degree == 0:
-            continue
-        for position in range(degree):
-            current = int(checks[position])
-            successor = int(checks[(position + 1) % degree])
-            links[current].append((variable, successor))
-    return links
+    degrees = h.row_degrees()
+    edge_rows = np.repeat(np.arange(h.n_rows, dtype=np.int64), degrees)
+    edge_cols = np.concatenate([h.row(check) for check in range(h.n_rows)])
+    by_col = np.argsort(edge_cols, kind="stable")
+    col_sizes = np.bincount(edge_cols, minlength=h.n_cols)
+    col_starts = np.cumsum(col_sizes) - col_sizes
+    sorted_cols = edge_cols[by_col]
+    start, size = col_starts[sorted_cols], col_sizes[sorted_cols]
+    following = start + (np.arange(by_col.size) - start + 1) % size
+    successor = np.empty_like(by_col)
+    successor[by_col] = by_col[following]
+    return edge_rows, successor
 
 
 def build_equivalent_interleaver(
@@ -115,36 +117,15 @@ def build_equivalent_interleaver(
     if owner.size and (owner.min() < 0 or owner.max() >= n_nodes):
         raise MappingError(f"check_owner references PEs outside [0, {n_nodes})")
 
-    links = _next_check_links(h)
-    # Destination memory location: index of the (consumer check, variable) slot
-    # within the consumer PE's incoming-message memory.
-    slot_counter = np.zeros(n_nodes, dtype=np.int64)
-    slot_of_edge: dict[tuple[int, int], int] = {}
-    checks_by_node: list[list[int]] = [[] for _ in range(n_nodes)]
-    for check in range(h.n_rows):
-        checks_by_node[int(owner[check])].append(check)
-    for node in range(n_nodes):
-        for check in checks_by_node[node]:
-            for variable in h.row(check):
-                slot_of_edge[(check, int(variable))] = int(slot_counter[node])
-                slot_counter[node] += 1
-
-    destinations: list[list[int]] = [[] for _ in range(n_nodes)]
-    locations: list[list[int]] = [[] for _ in range(n_nodes)]
-    for node in range(n_nodes):
-        for check in checks_by_node[node]:
-            for variable, consumer in links[check]:
-                destinations[node].append(int(owner[consumer]))
-                locations[node].append(slot_of_edge[(consumer, variable)])
-    per_node = tuple(
-        NodeTraffic(
-            node=node,
-            destinations=tuple(destinations[node]),
-            memory_locations=tuple(locations[node]),
-        )
-        for node in range(n_nodes)
+    edge_rows, successor = _edge_successors(h)
+    # Each PE processes its checks in ascending order and a check's edges in
+    # row order: flat edge order restricted to the PE, for emitting and for
+    # its incoming-message memory alike.
+    edge_owner = owner[edge_rows]
+    slots = message_slots(edge_owner, n_nodes)
+    return traffic_from_arrays(
+        n_nodes, edge_owner, edge_owner[successor], slots[successor], label=label
     )
-    return TrafficPattern(n_nodes=n_nodes, per_node=per_node, label=label)
 
 
 def _structured_assignments(n_checks: int, n_nodes: int) -> dict[str, np.ndarray]:
@@ -164,9 +145,10 @@ def _structured_assignments(n_checks: int, n_nodes: int) -> dict[str, np.ndarray
 
 
 def _partition_from_assignment(
-    assignment: np.ndarray, n_nodes: int, edges: dict[tuple[int, int], int]
+    assignment: np.ndarray, n_nodes: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> PartitionResult:
-    cut = sum(w for (a, b), w in edges.items() if assignment[a] != assignment[b])
+    heads, tails, weights = edges
+    cut = int(weights[assignment[heads] != assignment[tails]].sum())
     sizes = np.bincount(assignment, minlength=n_nodes)
     return PartitionResult(
         assignment=assignment, n_parts=n_nodes, cut_weight=cut, part_sizes=sizes
@@ -217,10 +199,11 @@ def map_ldpc_code(
             build_equivalent_interleaver(h, partitioned.assignment, n_nodes, traffic_label),
         )
     )
+    edge_arrays = graph.edge_arrays()
     for assignment in _structured_assignments(h.n_rows, n_nodes).values():
         candidates.append(
             (
-                _partition_from_assignment(assignment, n_nodes, graph.weights),
+                _partition_from_assignment(assignment, n_nodes, edge_arrays),
                 build_equivalent_interleaver(h, assignment, n_nodes, traffic_label),
             )
         )

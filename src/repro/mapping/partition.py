@@ -4,8 +4,11 @@ The paper maps LDPC check nodes onto NoC nodes with the Metis graph
 partitioner.  This module provides a self-contained substitute with the same
 objective — balanced part sizes, minimum weighted edge cut — built from:
 
-* a breadth-first *region-growing* initial partition (seeded from several
-  starting vertices for diversity), and
+* a *region-growing* initial partition that grows each part from a random
+  seed vertex by repeatedly taking the unassigned vertex with the strongest
+  connection to the part (a lazy max-heap of ``(-connection, vertex)``),
+* Metis-style multilevel attempts that coarsen by heavy-edge matching,
+  partition the coarse graph and refine on the way back up, and
 * a boundary Kernighan–Lin / Fiduccia–Mattheyses style refinement that
   greedily moves boundary vertices to the neighbouring part with the largest
   cut-weight gain while respecting a balance constraint.
@@ -13,17 +16,37 @@ objective — balanced part sizes, minimum weighted edge cut — built from:
 Multiple seeded attempts are made and the best cut is kept, which mirrors the
 paper's "framework built around the Metis package [that] checks the produced
 interleavers ... selecting the optimal one".
+
+Data layout
+-----------
+Each level of the multilevel hierarchy is a :class:`_Graph`: the edges as
+flat ``heads``/``tails``/``weights`` arrays in the caller's dict order (cut
+weights and coarsening are array operations on them), and one adjacency list
+of ``(neighbour, weight)`` tuples per vertex for the sequential passes.  The
+passes keep their state (assignment, part loads, vertex weights) in plain
+Python lists, because they read and write single entries in a data-dependent
+order, where NumPy scalar indexing costs more than the arithmetic.
+
+Results are a pure function of the inputs and ``seed``.  Neighbour order is
+observable (heavy-edge matching keeps the *first* heaviest neighbour), so
+each adjacency list keeps the order in which its edges appear in ``edges``,
+and the RNG is drawn in a fixed order: one permutation per matching, one
+choice per region-growing seed.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.errors import MappingError
 from repro.utils.rng import make_rng
+
+#: Per-vertex ``(neighbour, edge weight)`` lists, in edge insertion order.
+Adjacency = list[list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -54,98 +77,172 @@ class PartitionResult:
         return float(self.part_sizes.max() / mean) if mean else 1.0
 
 
-def _build_adjacency(
-    n_vertices: int, edges: dict[tuple[int, int], int]
-) -> list[list[tuple[int, int]]]:
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-    for (a, b), weight in edges.items():
-        if not (0 <= a < n_vertices and 0 <= b < n_vertices):
-            raise MappingError(f"edge ({a}, {b}) references a vertex outside [0, {n_vertices})")
-        if a == b:
-            continue
-        adjacency[a].append((b, weight))
-        adjacency[b].append((a, weight))
-    return adjacency
+class _Graph:
+    """One level of the multilevel hierarchy (see the module docstring)."""
+
+    def __init__(
+        self,
+        heads: np.ndarray,
+        tails: np.ndarray,
+        weights: np.ndarray,
+        vertex_weights: np.ndarray,
+    ):
+        self.heads = heads
+        self.tails = tails
+        self.weights = weights
+        self.vertex_weights = vertex_weights
+        self.vertex_weight_list: list[float] = vertex_weights.tolist()
+        self.n_vertices = int(vertex_weights.size)
+        # Vertex a lists b and b lists a at the position of edge (a, b) in
+        # the edge order: a stable sort of the interleaved endpoint pairs.
+        keep = heads != tails
+        sources = np.column_stack([heads[keep], tails[keep]]).ravel()
+        targets = np.column_stack([tails[keep], heads[keep]]).ravel()
+        order = np.argsort(sources, kind="stable")
+        entries = list(zip(targets[order].tolist(), np.repeat(weights[keep], 2)[order].tolist()))
+        bounds = np.searchsorted(sources[order], np.arange(self.n_vertices + 1)).tolist()
+        self.adjacency: Adjacency = [
+            entries[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+    @classmethod
+    def from_edges(
+        cls, n_vertices: int, edges: dict[tuple[int, int], int], vertex_weights: np.ndarray
+    ) -> "_Graph":
+        count = len(edges)
+        pairs = np.fromiter(
+            chain.from_iterable(edges), dtype=np.int64, count=2 * count
+        ).reshape(count, 2)
+        heads, tails = pairs[:, 0], pairs[:, 1]
+        outside = (heads < 0) | (heads >= n_vertices) | (tails < 0) | (tails >= n_vertices)
+        if outside.any():
+            first = int(np.argmax(outside))
+            raise MappingError(
+                f"edge ({heads[first]}, {tails[first]}) references a vertex outside "
+                f"[0, {n_vertices})"
+            )
+        weights = np.asarray(list(edges.values()))
+        return cls(heads, tails, weights, vertex_weights)
+
+    def cut_weight(self, assignment: np.ndarray) -> int:
+        """Total weight of the edges that ``assignment`` cuts (summed in edge order)."""
+        return sum(self.weights[assignment[self.heads] != assignment[self.tails]].tolist())
+
+    def coarsen(self, fine_to_coarse: np.ndarray) -> "_Graph":
+        """Collapse matched vertices, merging parallel edges.
+
+        Coarse edges appear in the order of their first fine edge and sum
+        their fine weights in edge order.
+        """
+        n_coarse = int(fine_to_coarse.max()) + 1
+        coarse_weights = np.bincount(
+            fine_to_coarse, weights=self.vertex_weights, minlength=n_coarse
+        )
+        ca, cb = fine_to_coarse[self.heads], fine_to_coarse[self.tails]
+        keep = ca != cb
+        low, high = np.minimum(ca, cb)[keep], np.maximum(ca, cb)[keep]
+        keys, first, inverse = np.unique(
+            low * n_coarse + high, return_index=True, return_inverse=True
+        )
+        appearance = np.argsort(first)
+        rank = np.empty(keys.size, dtype=np.int64)
+        rank[appearance] = np.arange(keys.size)
+        merged = np.zeros(keys.size, dtype=self.weights.dtype)
+        np.add.at(merged, rank[inverse.ravel()], self.weights[keep])
+        ordered = keys[appearance]
+        return _Graph(ordered // n_coarse, ordered % n_coarse, merged, coarse_weights)
 
 
-def _cut_weight(assignment: np.ndarray, edges: dict[tuple[int, int], int]) -> int:
-    return sum(w for (a, b), w in edges.items() if assignment[a] != assignment[b])
+def _loads(assignment: list[int], vertex_weights: list[float], n_parts: int) -> list[float]:
+    loads = [0.0] * n_parts
+    for part, weight in zip(assignment, vertex_weights):
+        loads[part] += weight
+    return loads
 
 
 def _region_growing_initial(
-    n_vertices: int,
-    adjacency: list[list[tuple[int, int]]],
-    n_parts: int,
-    vertex_weights: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Grow parts one at a time from BFS frontiers, preferring well-connected vertices."""
-    total_weight = float(vertex_weights.sum())
+    graph: _Graph, n_parts: int, rng: np.random.Generator
+) -> list[int]:
+    """Grow parts one at a time, each time taking the best-connected unassigned vertex.
+
+    Ties go to the lowest vertex id.  A vertex's connection changes as the
+    part grows; the heap keeps one ``(-connection, vertex)`` entry per
+    change and skips the stale ones, which no longer match ``connection``.
+    """
+    n_vertices = graph.n_vertices
+    adjacency = graph.adjacency
+    weights = graph.vertex_weight_list
+    total_weight = float(graph.vertex_weights.sum())
     target = total_weight / n_parts
-    assignment = np.full(n_vertices, -1, dtype=np.int64)
+    assignment = [-1] * n_vertices
     unassigned = set(range(n_vertices))
     for part in range(n_parts):
         if not unassigned:
             break
         remaining_parts = n_parts - part
-        remaining_weight = float(vertex_weights[list(unassigned)].sum())
+        remaining_weight = float(graph.vertex_weights[list(unassigned)].sum())
         budget = min(remaining_weight / remaining_parts, target)
-        seed_vertex = int(rng.choice(sorted(unassigned)))
-        # Grow by repeatedly taking the unassigned vertex with the strongest
-        # connection to the current part (BFS frontier as tie-break).
-        part_weight = float(vertex_weights[seed_vertex])
-        assignment[seed_vertex] = part
-        unassigned.discard(seed_vertex)
+        best = int(rng.choice(sorted(unassigned)))
+        part_weight = weights[best]
+        assignment[best] = part
+        unassigned.discard(best)
         connection: dict[int, int] = {}
-        frontier: deque[int] = deque([seed_vertex])
+        heap: list[tuple[int, int]] = []
         while part_weight < budget and unassigned:
             # Refresh connection strengths from the most recent member.
-            while frontier:
-                member = frontier.popleft()
-                for neighbor, weight in adjacency[member]:
-                    if assignment[neighbor] == -1:
-                        connection[neighbor] = connection.get(neighbor, 0) + weight
-            if connection:
-                best = max(connection.items(), key=lambda item: (item[1], -item[0]))[0]
+            for neighbor, weight in adjacency[best]:
+                if assignment[neighbor] == -1:
+                    strength = connection.get(neighbor, 0) + weight
+                    connection[neighbor] = strength
+                    heapq.heappush(heap, (-strength, neighbor))
+            while heap and connection.get(heap[0][1]) != -heap[0][0]:
+                heapq.heappop(heap)
+            if heap:
+                best = heapq.heappop(heap)[1]
                 del connection[best]
             else:
                 best = int(rng.choice(sorted(unassigned)))
             assignment[best] = part
             unassigned.discard(best)
-            part_weight += float(vertex_weights[best])
-            frontier.append(best)
+            part_weight += weights[best]
     # Any leftovers (rounding) go to the lightest parts.
     if unassigned:
-        loads = np.zeros(n_parts, dtype=np.float64)
-        for vertex in range(n_vertices):
-            if assignment[vertex] >= 0:
-                loads[assignment[vertex]] += vertex_weights[vertex]
+        loads = [0.0] * n_parts
+        for vertex, part in enumerate(assignment):
+            if part >= 0:
+                loads[part] += weights[vertex]
         for vertex in sorted(unassigned):
-            part = int(np.argmin(loads))
+            part = loads.index(min(loads))
             assignment[vertex] = part
-            loads[part] += vertex_weights[vertex]
+            loads[part] += weights[vertex]
     return assignment
 
 
 def _refine(
-    assignment: np.ndarray,
-    adjacency: list[list[tuple[int, int]]],
+    assignment: list[int],
+    graph: _Graph,
     n_parts: int,
     max_passes: int,
-    vertex_weights: np.ndarray,
     max_load: float,
-) -> np.ndarray:
-    """Greedy boundary refinement: move vertices to the part with the best gain."""
-    assignment = assignment.copy()
-    loads = np.zeros(n_parts, dtype=np.float64)
-    n_vertices = assignment.size
-    for vertex in range(n_vertices):
-        loads[assignment[vertex]] += vertex_weights[vertex]
+) -> list[int]:
+    """Greedy boundary refinement: move vertices to the part with the best gain.
+
+    A pass visits the vertices in index order and moves each to the allowed
+    part of largest positive gain (ties to the lowest part index).  A vertex
+    that had no positive-gain part at all, load aside, is *settled*: it
+    cannot move until a neighbour changes part, so later passes skip it.
+    """
+    assignment = list(assignment)
+    adjacency = graph.adjacency
+    weights = graph.vertex_weight_list
+    loads = _loads(assignment, weights, n_parts)
+    settled = [False] * len(assignment)
     for _ in range(max_passes):
         moved = 0
-        for vertex in range(n_vertices):
+        for vertex, weight in enumerate(weights):
+            if settled[vertex]:
+                continue
             current = assignment[vertex]
-            weight = float(vertex_weights[vertex])
             if loads[current] - weight <= 0:
                 continue
             # Connection weight of this vertex towards each part.
@@ -153,47 +250,55 @@ def _refine(
             for neighbor, edge_weight in adjacency[vertex]:
                 part = assignment[neighbor]
                 weight_to_part[part] = weight_to_part.get(part, 0) + edge_weight
-            internal = weight_to_part.get(current, 0)
+            internal = weight_to_part.pop(current, 0)
             best_part = current
             best_gain = 0
+            any_gain = False
             for part, connection in weight_to_part.items():
-                if part == current or loads[part] + weight > max_load:
-                    continue
                 gain = connection - internal
-                if gain > best_gain or (gain == best_gain and gain > 0 and part < best_part):
+                if gain <= 0:
+                    continue
+                any_gain = True
+                if loads[part] + weight > max_load:
+                    continue
+                if gain > best_gain or (gain == best_gain and part < best_part):
                     best_gain = gain
                     best_part = part
-            if best_part != current and best_gain > 0:
+            if best_part != current:
                 assignment[vertex] = best_part
                 loads[current] -= weight
                 loads[best_part] += weight
                 moved += 1
+                for neighbor, _ in adjacency[vertex]:
+                    settled[neighbor] = False
+            elif not any_gain:
+                settled[vertex] = True
         if moved == 0:
             break
     return assignment
 
 
 def _balance(
-    assignment: np.ndarray,
-    adjacency: list[list[tuple[int, int]]],
+    assignment: list[int],
+    graph: _Graph,
     n_parts: int,
-    vertex_weights: np.ndarray,
     max_load: float,
-) -> np.ndarray:
+) -> list[int]:
     """Move vertices out of overweight parts, preferring the least-damaging moves."""
-    assignment = assignment.copy()
-    loads = np.zeros(n_parts, dtype=np.float64)
-    for vertex in range(assignment.size):
-        loads[assignment[vertex]] += vertex_weights[vertex]
+    assignment = list(assignment)
+    adjacency = graph.adjacency
+    weights = graph.vertex_weight_list
+    loads = _loads(assignment, weights, n_parts)
     for part in range(n_parts):
         guard = 0
-        while loads[part] > max_load and guard < assignment.size:
+        while loads[part] > max_load and guard < len(assignment):
             guard += 1
-            members = np.flatnonzero(assignment == part)
             best_vertex = -1
             best_target = -1
             best_cost = None
-            for vertex in members:
+            for vertex, owner in enumerate(assignment):
+                if owner != part:
+                    continue
                 weight_to_part: dict[int, int] = {}
                 for neighbor, edge_weight in adjacency[vertex]:
                     weight_to_part[assignment[neighbor]] = (
@@ -203,25 +308,23 @@ def _balance(
                 for target in range(n_parts):
                     if target == part:
                         continue
-                    if loads[target] + vertex_weights[vertex] > max_load:
+                    if loads[target] + weights[vertex] > max_load:
                         continue
                     cost = internal - weight_to_part.get(target, 0)
                     if best_cost is None or cost < best_cost:
                         best_cost = cost
-                        best_vertex = int(vertex)
+                        best_vertex = vertex
                         best_target = target
             if best_vertex < 0:
                 break
             assignment[best_vertex] = best_target
-            loads[part] -= vertex_weights[best_vertex]
-            loads[best_target] += vertex_weights[best_vertex]
+            loads[part] -= weights[best_vertex]
+            loads[best_target] += weights[best_vertex]
     return assignment
 
 
 def _heavy_edge_matching(
-    n_vertices: int,
-    adjacency: list[list[tuple[int, int]]],
-    vertex_weights: np.ndarray,
+    graph: _Graph,
     max_vertex_weight: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -229,18 +332,17 @@ def _heavy_edge_matching(
 
     Returns an array mapping every fine vertex to a coarse vertex id.
     """
-    matched = np.full(n_vertices, -1, dtype=np.int64)
-    order = rng.permutation(n_vertices)
+    adjacency = graph.adjacency
+    weights = graph.vertex_weight_list
+    matched = [-1] * graph.n_vertices
     coarse_id = 0
-    for vertex in order:
+    for vertex in rng.permutation(graph.n_vertices).tolist():
         if matched[vertex] >= 0:
             continue
         best_neighbor = -1
         best_weight = 0
         for neighbor, weight in adjacency[vertex]:
-            if matched[neighbor] >= 0 or neighbor == vertex:
-                continue
-            if vertex_weights[vertex] + vertex_weights[neighbor] > max_vertex_weight:
+            if matched[neighbor] >= 0 or weights[vertex] + weights[neighbor] > max_vertex_weight:
                 continue
             if weight > best_weight:
                 best_weight = weight
@@ -249,67 +351,36 @@ def _heavy_edge_matching(
         if best_neighbor >= 0:
             matched[best_neighbor] = coarse_id
         coarse_id += 1
-    return matched
-
-
-def _coarsen(
-    n_vertices: int,
-    edges: dict[tuple[int, int], int],
-    vertex_weights: np.ndarray,
-    fine_to_coarse: np.ndarray,
-) -> tuple[int, dict[tuple[int, int], int], np.ndarray]:
-    """Collapse matched vertices into coarse vertices, merging parallel edges."""
-    n_coarse = int(fine_to_coarse.max()) + 1
-    coarse_weights = np.zeros(n_coarse, dtype=np.float64)
-    for vertex in range(n_vertices):
-        coarse_weights[fine_to_coarse[vertex]] += vertex_weights[vertex]
-    coarse_edges: dict[tuple[int, int], int] = {}
-    for (a, b), weight in edges.items():
-        ca, cb = int(fine_to_coarse[a]), int(fine_to_coarse[b])
-        if ca == cb:
-            continue
-        key = (ca, cb) if ca < cb else (cb, ca)
-        coarse_edges[key] = coarse_edges.get(key, 0) + weight
-    return n_coarse, coarse_edges, coarse_weights
+    return np.asarray(matched, dtype=np.int64)
 
 
 def _multilevel_partition(
-    n_vertices: int,
-    edges: dict[tuple[int, int], int],
+    graph: _Graph,
     n_parts: int,
-    vertex_weights: np.ndarray,
     refinement_passes: int,
     max_load: float,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> list[int]:
     """Multilevel partitioning: coarsen by heavy-edge matching, partition, refine back up."""
-    adjacency = _build_adjacency(n_vertices, edges)
+    n_vertices = graph.n_vertices
     coarsening_target = max(8 * n_parts, 64)
-    if n_vertices <= coarsening_target:
-        initial = _region_growing_initial(n_vertices, adjacency, n_parts, vertex_weights, rng)
-        return _refine(initial, adjacency, n_parts, refinement_passes, vertex_weights, max_load)
-
-    # Limit coarse vertex weight so the coarse graph stays partitionable.
-    max_vertex_weight = max(2.0 * vertex_weights.sum() / coarsening_target, vertex_weights.max())
-    fine_to_coarse = _heavy_edge_matching(
-        n_vertices, adjacency, vertex_weights, max_vertex_weight, rng
-    )
-    n_coarse, coarse_edges, coarse_weights = _coarsen(
-        n_vertices, edges, vertex_weights, fine_to_coarse
-    )
-    if n_coarse >= n_vertices or n_coarse < n_parts:
-        initial = _region_growing_initial(n_vertices, adjacency, n_parts, vertex_weights, rng)
-        return _refine(initial, adjacency, n_parts, refinement_passes, vertex_weights, max_load)
-
-    coarse_assignment = _multilevel_partition(
-        n_coarse, coarse_edges, n_parts, coarse_weights, refinement_passes, max_load, rng
-    )
-    # Project back to the fine graph and refine at this level.
-    assignment = coarse_assignment[fine_to_coarse]
-    assignment = _refine(
-        assignment, adjacency, n_parts, refinement_passes, vertex_weights, max_load
-    )
-    return assignment
+    if n_vertices > coarsening_target:
+        # Limit coarse vertex weight so the coarse graph stays partitionable.
+        vertex_weights = graph.vertex_weights
+        max_vertex_weight = max(
+            2.0 * vertex_weights.sum() / coarsening_target, vertex_weights.max()
+        )
+        fine_to_coarse = _heavy_edge_matching(graph, max_vertex_weight, rng)
+        n_coarse = int(fine_to_coarse.max()) + 1
+        if n_parts <= n_coarse < n_vertices:
+            coarse_assignment = _multilevel_partition(
+                graph.coarsen(fine_to_coarse), n_parts, refinement_passes, max_load, rng
+            )
+            # Project back to the fine graph and refine at this level.
+            assignment = np.asarray(coarse_assignment)[fine_to_coarse].tolist()
+            return _refine(assignment, graph, n_parts, refinement_passes, max_load)
+    initial = _region_growing_initial(graph, n_parts, rng)
+    return _refine(initial, graph, n_parts, refinement_passes, max_load)
 
 
 def partition_graph(
@@ -363,7 +434,7 @@ def partition_graph(
             )
         if weights_arr.min() <= 0:
             raise MappingError("vertex_weights must be strictly positive")
-    adjacency = _build_adjacency(n_vertices, edges)
+    graph = _Graph.from_edges(n_vertices, edges, weights_arr)
     ideal = float(weights_arr.sum()) / n_parts
     max_load = max(ideal * imbalance_tolerance, float(weights_arr.max()))
 
@@ -374,31 +445,22 @@ def partition_graph(
         if attempt % 2 == 0:
             # Multilevel (Metis-style) attempt: heavy-edge-matching coarsening,
             # partition of the coarse graph, refinement on the way back up.
-            refined = _multilevel_partition(
-                n_vertices, edges, n_parts, weights_arr, refinement_passes, max_load, rng
-            )
+            refined = _multilevel_partition(graph, n_parts, refinement_passes, max_load, rng)
         else:
             # Flat attempt: region growing directly on the fine graph.
-            initial = _region_growing_initial(
-                n_vertices, adjacency, n_parts, weights_arr, rng
-            )
-            refined = _refine(
-                initial, adjacency, n_parts, refinement_passes, weights_arr, max_load
-            )
-        refined = _balance(refined, adjacency, n_parts, weights_arr, max_load)
-        cut = _cut_weight(refined, edges)
-        sizes = np.bincount(refined, minlength=n_parts)
-        loads = np.zeros(n_parts, dtype=np.float64)
-        for vertex in range(n_vertices):
-            loads[refined[vertex]] += weights_arr[vertex]
+            initial = _region_growing_initial(graph, n_parts, rng)
+            refined = _refine(initial, graph, n_parts, refinement_passes, max_load)
+        assignment = np.asarray(_balance(refined, graph, n_parts, max_load), dtype=np.int64)
+        cut = graph.cut_weight(assignment)
+        sizes = np.bincount(assignment, minlength=n_parts)
+        loads = np.bincount(assignment, weights=weights_arr, minlength=n_parts)
         # Rank candidates by the heaviest part first (it lower-bounds ncycles),
         # then by cut weight.
         key = (float(loads.max()), cut)
-        result = PartitionResult(
-            assignment=refined, n_parts=n_parts, cut_weight=cut, part_sizes=sizes
-        )
         if best_key is None or key < best_key:
-            best = result
+            best = PartitionResult(
+                assignment=assignment, n_parts=n_parts, cut_weight=cut, part_sizes=sizes
+            )
             best_key = key
     assert best is not None  # attempts >= 1
     return best

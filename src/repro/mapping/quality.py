@@ -50,13 +50,10 @@ def evaluate_traffic_quality(traffic: TrafficPattern) -> MappingQuality:
     received = traffic.destination_histogram()
     total = traffic.total_messages
     locality = traffic.local_messages / total if total else 0.0
-    network_per_node = [
-        sum(1 for dest in node.destinations if dest != node.node)
-        for node in traffic.per_node
-    ]
+    network_per_node = emitted - np.diagonal(traffic.pair_counts())
     return MappingQuality(
         max_node_messages=int(emitted.max()) if emitted.size else 0,
-        max_network_node_messages=max(network_per_node) if network_per_node else 0,
+        max_network_node_messages=int(network_per_node.max()) if emitted.size else 0,
         mean_node_messages=float(emitted.mean()) if emitted.size else 0.0,
         destination_spread=float(received.std()) if received.size else 0.0,
         locality=locality,

@@ -72,10 +72,7 @@ def contiguous_partition(n_positions: int, n_nodes: int) -> np.ndarray:
             f"cannot spread {n_positions} positions over {n_nodes} PEs without idle PEs"
         )
     boundaries = np.linspace(0, n_positions, n_nodes + 1).astype(np.int64)
-    owner = np.zeros(n_positions, dtype=np.int64)
-    for node in range(n_nodes):
-        owner[boundaries[node] : boundaries[node + 1]] = node
-    return owner
+    return np.repeat(np.arange(n_nodes, dtype=np.int64), np.diff(boundaries))
 
 
 def map_turbo_code(

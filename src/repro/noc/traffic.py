@@ -11,6 +11,7 @@ the CTC permutation and the block partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,33 +62,54 @@ class TrafficPattern:
             raise MappingError(
                 f"expected {self.n_nodes} per-node traffic entries, got {len(self.per_node)}"
             )
-        for index, node_traffic in enumerate(self.per_node):
-            if node_traffic.node != index:
-                raise MappingError(
-                    f"per_node[{index}] describes node {node_traffic.node}; entries must be "
-                    "indexed by node id"
-                )
-            for dest in node_traffic.destinations:
-                if not 0 <= dest < self.n_nodes:
-                    raise MappingError(
-                        f"node {index} addresses destination {dest} outside [0, {self.n_nodes})"
-                    )
+        ids = np.fromiter((node.node for node in self.per_node), dtype=np.int64,
+                          count=self.n_nodes)
+        misplaced = np.flatnonzero(ids != np.arange(self.n_nodes))
+        if misplaced.size:
+            index = int(misplaced[0])
+            raise MappingError(
+                f"per_node[{index}] describes node {ids[index]}; entries must be indexed "
+                "by node id"
+            )
+        counts = np.fromiter(
+            (node.n_messages for node in self.per_node), dtype=np.int64, count=self.n_nodes
+        )
+        dest = np.fromiter(
+            chain.from_iterable(node.destinations for node in self.per_node),
+            dtype=np.int64,
+            count=int(counts.sum()),
+        )
+        source = np.repeat(np.arange(self.n_nodes, dtype=np.int64), counts)
+        outside = np.flatnonzero((dest < 0) | (dest >= self.n_nodes))
+        if outside.size:
+            raise MappingError(
+                f"node {source[outside[0]]} addresses destination {dest[outside[0]]} "
+                f"outside [0, {self.n_nodes})"
+            )
+        pairs = np.bincount(
+            source * self.n_nodes + dest, minlength=self.n_nodes * self.n_nodes
+        ).reshape(self.n_nodes, self.n_nodes)
+        received = pairs.sum(axis=0)
+        for name, value in (("_counts", counts), ("_pairs", pairs), ("_received", received)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # Pickle the fields only; unpickling re-derives the aggregates.
+        return (type(self), (self.n_nodes, self.per_node, self.label))
 
     # ------------------------------------------------------------------ #
-    # Aggregate statistics
+    # Aggregate statistics (computed once, in __post_init__)
     # ------------------------------------------------------------------ #
     @property
     def total_messages(self) -> int:
         """Total number of messages emitted per iteration (including local ones)."""
-        return sum(node.n_messages for node in self.per_node)
+        return int(self._counts.sum())
 
     @property
     def local_messages(self) -> int:
         """Messages whose destination PE equals the source PE."""
-        return sum(
-            sum(1 for dest in node.destinations if dest == node.node)
-            for node in self.per_node
-        )
+        return int(np.trace(self._pairs))
 
     @property
     def network_messages(self) -> int:
@@ -95,8 +117,8 @@ class TrafficPattern:
         return self.total_messages - self.local_messages
 
     def messages_per_node(self) -> np.ndarray:
-        """Array of per-node emitted message counts."""
-        return np.array([node.n_messages for node in self.per_node], dtype=np.int64)
+        """Read-only array of per-node emitted message counts."""
+        return self._counts
 
     def load_imbalance(self) -> float:
         """Max-to-mean ratio of per-node message counts (1.0 = perfectly balanced)."""
@@ -107,29 +129,17 @@ class TrafficPattern:
         return float(counts.max() / mean)
 
     def pair_counts(self) -> np.ndarray:
-        """``(P, P)`` message counts per (source, destination) pair.
+        """Read-only ``(P, P)`` message counts per (source, destination) pair.
 
         The demand-matrix view the analytical NoC model consumes: entry
         ``(s, d)`` is the number of messages node ``s`` emits towards node
         ``d`` (the diagonal holds local messages).
         """
-        counts = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
-        for node in self.per_node:
-            if node.n_messages:
-                np.add.at(
-                    counts[node.node],
-                    np.asarray(node.destinations, dtype=np.int64),
-                    1,
-                )
-        return counts
+        return self._pairs
 
     def destination_histogram(self) -> np.ndarray:
-        """Number of messages *received* by each node."""
-        histogram = np.zeros(self.n_nodes, dtype=np.int64)
-        for node in self.per_node:
-            for dest in node.destinations:
-                histogram[dest] += 1
-        return histogram
+        """Read-only array of the number of messages *received* by each node."""
+        return self._received
 
 
 def random_traffic(
@@ -206,6 +216,47 @@ def random_traffic_streams(
     ]
 
 
+def message_slots(owner: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Index of every item among the items of its owner node, in array order.
+
+    With the items a node stores listed in array order, this is each item's
+    memory location on its node.
+    """
+    by_owner = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=n_nodes)
+    starts = np.cumsum(counts) - counts
+    slots = np.empty_like(by_owner)
+    slots[by_owner] = np.arange(owner.size) - starts[owner[by_owner]]
+    return slots
+
+
+def traffic_from_arrays(
+    n_nodes: int,
+    source: np.ndarray,
+    destinations: np.ndarray,
+    memory_locations: np.ndarray,
+    label: str = "",
+) -> TrafficPattern:
+    """Build a pattern from flat per-message arrays.
+
+    Message ``k`` is emitted by node ``source[k]``; each node emits its
+    messages in array order.
+    """
+    order = np.argsort(source, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(source, minlength=n_nodes)).tolist()]
+    dest = destinations[order].tolist()
+    loc = memory_locations[order].tolist()
+    per_node = tuple(
+        NodeTraffic(
+            node=node,
+            destinations=tuple(dest[bounds[node] : bounds[node + 1]]),
+            memory_locations=tuple(loc[bounds[node] : bounds[node + 1]]),
+        )
+        for node in range(n_nodes)
+    )
+    return TrafficPattern(n_nodes=n_nodes, per_node=per_node, label=label)
+
+
 def traffic_from_permutation(
     permutation: np.ndarray,
     partition_of_positions: np.ndarray,
@@ -233,28 +284,7 @@ def traffic_from_permutation(
         raise MappingError("permutation and partition must have the same length")
     if owner.size and (owner.min() < 0 or owner.max() >= n_nodes):
         raise MappingError(f"partition references PEs outside [0, {n_nodes})")
-    # Within-PE memory index of every position (order of appearance).
-    local_index = np.zeros(perm.size, dtype=np.int64)
-    counters = np.zeros(n_nodes, dtype=np.int64)
-    for position in range(perm.size):
-        pe = owner[position]
-        local_index[position] = counters[pe]
-        counters[pe] += 1
-
-    destinations: list[list[int]] = [[] for _ in range(n_nodes)]
-    locations: list[list[int]] = [[] for _ in range(n_nodes)]
-    for position in range(perm.size):
-        source_pe = int(owner[position])
-        target_position = int(perm[position])
-        target_pe = int(owner[target_position])
-        destinations[source_pe].append(target_pe)
-        locations[source_pe].append(int(local_index[target_position]))
-    per_node = tuple(
-        NodeTraffic(
-            node=node,
-            destinations=tuple(destinations[node]),
-            memory_locations=tuple(locations[node]),
-        )
-        for node in range(n_nodes)
-    )
-    return TrafficPattern(n_nodes=n_nodes, per_node=per_node, label=label)
+    # Position k's message goes to the owner of permutation[k], into that
+    # PE's memory slot of the position (its order of appearance on the PE).
+    slots = message_slots(owner, n_nodes)
+    return traffic_from_arrays(n_nodes, owner, owner[perm], slots[perm], label=label)

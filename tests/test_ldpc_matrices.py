@@ -227,3 +227,12 @@ class TestTannerGraph:
     def test_girth_detects_4_cycle(self):
         h = ParityCheckMatrix([[0, 1], [0, 1]], n_cols=2)
         assert TannerGraph(h).girth_lower_bound() == 4
+
+    def test_girth_without_4_cycle_reports_max_cycle(self):
+        # Three checks pairwise sharing one variable: a 6-cycle, no 4-cycle.
+        # Only 4-cycles are searched for, so the documented answer is max_cycle.
+        h = ParityCheckMatrix([[0, 1], [1, 2], [2, 0]], n_cols=3)
+        graph = TannerGraph(h)
+        assert graph.check_adjacency_graph().weights == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+        assert graph.girth_lower_bound() == 8
+        assert graph.girth_lower_bound(max_cycle=12) == 12
